@@ -1,8 +1,23 @@
 #include "topk/incremental_merge.h"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "util/logging.h"
 
 namespace specqp {
+
+namespace {
+
+// Heap order for the std heap algorithms (greatest first): `a` sits below
+// `b` when `b` has the higher bound, or the same bound and the lower input
+// index.
+constexpr auto kBelow = [](const auto& a, const auto& b) {
+  return b.bound > a.bound || (b.bound == a.bound && b.input < a.input);
+};
+
+}  // namespace
 
 IncrementalMerge::IncrementalMerge(
     std::vector<std::unique_ptr<ScoredRowIterator>> inputs, ExecContext* ctx)
@@ -12,6 +27,14 @@ IncrementalMerge::IncrementalMerge(
   SPECQP_CHECK(!inputs_.empty());
   SPECQP_CHECK(stats_ != nullptr);
   heads_.resize(inputs_.size());
+  // Every input enters with an infinite bound, in index order (a valid
+  // heap): Settle() reads each real bound the first time the input reaches
+  // the top, so no input is touched before the merge is first used.
+  heap_.reserve(inputs_.size());
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    heap_.push_back(Bound{std::numeric_limits<double>::infinity(),
+                          static_cast<uint32_t>(i)});
+  }
 }
 
 void IncrementalMerge::Prime(size_t i) {
@@ -20,47 +43,64 @@ void IncrementalMerge::Prime(size_t i) {
   head.valid = inputs_[i]->Next(&head.row);
 }
 
+void IncrementalMerge::UpdateTop(double bound) const {
+  std::pop_heap(heap_.begin(), heap_.end(), kBelow);
+  if (bound <= kExhausted) {
+    heap_.pop_back();
+    return;
+  }
+  heap_.back().bound = bound;
+  std::push_heap(heap_.begin(), heap_.end(), kBelow);
+}
+
+void IncrementalMerge::Settle() const {
+  while (!heap_.empty()) {
+    const Bound& top = heap_.front();
+    // A primed input's entry always holds its head's score.
+    if (heads_[top.input].primed) return;
+    const double now = inputs_[top.input]->UpperBound();
+    if (now >= top.bound) return;
+    UpdateTop(now);
+  }
+}
+
 bool IncrementalMerge::Next(ScoredRow* out) {
   while (true) {
     if (ctx_->Interrupted()) return false;  // cancellation / deadline
-    // The effective bound of input i: the score of its buffered head if
-    // primed, otherwise the input's own upper bound — which lets us defer
-    // pulling from low-weight relaxation lists until their cap is actually
-    // reached (the "incremental" in incremental merge).
-    double best = kExhausted;
-    size_t best_i = inputs_.size();
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      const Head& head = heads_[i];
-      double bound;
-      if (head.primed) {
-        bound = head.valid ? head.row.score : kExhausted;
-      } else {
-        bound = inputs_[i]->UpperBound();
-      }
-      if (bound > best) {
-        best = bound;
-        best_i = i;
-      }
-    }
-    if (best_i == inputs_.size() || best <= kExhausted) return false;
+    // The top input has the highest effective bound: the score of its
+    // buffered head if primed, otherwise the input's own upper bound —
+    // which lets us defer pulling from low-weight relaxation lists until
+    // their cap is actually reached (the "incremental" in incremental
+    // merge).
+    Settle();
+    if (heap_.empty()) return false;
+    const uint32_t i = heap_.front().input;
+    Head& head = heads_[i];
 
-    if (!heads_[best_i].primed) {
-      Prime(best_i);
+    if (!head.primed) {
+      Prime(i);
+      UpdateTop(head.valid ? head.row.score : kExhausted);
       continue;  // bounds changed; re-select
     }
 
-    // The head of best_i is a real row whose score dominates every other
-    // input's bound: safe to emit in globally sorted order.
-    ScoredRow row = std::move(heads_[best_i].row);
-    Prime(best_i);  // advance that input
+    // The head of input i is a real row whose score dominates every other
+    // input's bound: safe to emit in globally sorted order. A first
+    // occurrence trades buffers with `out`; either way input i refills its
+    // head in place.
+    const bool fresh = seen_.Insert(head.row.bindings);
+    if (fresh) {
+      std::swap(out->bindings, head.row.bindings);
+      out->score = head.row.score;
+    }
+    Prime(i);  // advance that input
+    UpdateTop(head.valid ? head.row.score : kExhausted);
 
-    if (!seen_.insert(row.bindings).second) {
+    if (!fresh) {
       ++stats_->merge_duplicates;
       continue;  // a lower-scored derivation of an already-emitted answer
     }
     ++stats_->merge_rows;
     ++rows_emitted_;
-    *out = std::move(row);
     return true;
   }
 }
@@ -72,18 +112,12 @@ void IncrementalMerge::Discard() {
     heads_[i].primed = true;
     heads_[i].valid = false;
   }
+  heap_.clear();
 }
 
 double IncrementalMerge::UpperBound() const {
-  double best = kExhausted;
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const Head& head = heads_[i];
-    const double bound = head.primed
-                             ? (head.valid ? head.row.score : kExhausted)
-                             : inputs_[i]->UpperBound();
-    if (bound > best) best = bound;
-  }
-  return best;
+  Settle();
+  return heap_.empty() ? kExhausted : heap_.front().bound;
 }
 
 }  // namespace specqp

@@ -9,7 +9,10 @@ namespace specqp {
 //
 // Contract:
 //   - Next() fills `out` and returns true, or returns false at exhaustion
-//     (and stays false afterwards).
+//     (and stays false afterwards). It overwrites `out` in place and may
+//     exchange its binding buffer for another (IncrementalMerge hands rows
+//     out by swap), so callers reuse one row across pulls and buffers
+//     circulate instead of being allocated per row.
 //   - Scores of successive rows never increase.
 //   - UpperBound() is >= the score of every row Next() will still return,
 //     and never increases between calls. A negative bound (kExhausted)

@@ -9,57 +9,44 @@ namespace specqp {
 RankJoin::RankJoin(std::unique_ptr<ScoredRowIterator> left,
                    std::unique_ptr<ScoredRowIterator> right,
                    std::vector<VarId> join_vars, ExecContext* ctx)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      join_vars_(std::move(join_vars)),
+    : join_vars_(std::move(join_vars)),
+      left_(std::move(left), join_vars_),
+      right_(std::move(right), join_vars_),
       ctx_(ctx),
       stats_(ctx == nullptr ? nullptr : ctx->stats()) {
-  SPECQP_CHECK(left_ != nullptr && right_ != nullptr && stats_ != nullptr);
-  // Pre-size the output queue's backing store: the buffered band between
-  // the threshold and the emitted frontier regularly reaches dozens of
-  // rows, and growing the heap mid-join moves every buffered ScoredRow.
-  std::vector<ScoredRow> storage;
-  storage.reserve(64);
-  queue_ = decltype(queue_)(QueueOrder(), std::move(storage));
-}
-
-RankJoin::JoinKey RankJoin::KeyOf(const ScoredRow& row) const {
-  JoinKey key;
-  key.reserve(join_vars_.size());
-  for (VarId v : join_vars_) {
-    SPECQP_DCHECK(row.bindings[v] != kInvalidTermId)
-        << "join variable unbound in input row";
-    key.push_back(row.bindings[v]);
-  }
-  return key;
+  SPECQP_CHECK(left_.input != nullptr && right_.input != nullptr &&
+               stats_ != nullptr);
+  // Nothing is pre-sized: the queue holds 16-byte (score, slot) pairs and
+  // every arena grows geometrically, so growth never moves a buffered
+  // row's bindings and costs O(log n) allocations over the whole join.
 }
 
 double RankJoin::Threshold() const {
-  const double ub_l = left_done_ ? -kInf : left_->UpperBound();
-  const double ub_r = right_done_ ? -kInf : right_->UpperBound();
+  const double ub_l = left_.done ? -kInf : left_.input->UpperBound();
+  const double ub_r = right_.done ? -kInf : right_.input->UpperBound();
   // Before any row is seen on a side, its "top" defaults to the side's
   // upper bound (conservative).
-  const double top_l = left_seen_ ? left_top_ : std::max(ub_l, 0.0);
-  const double top_r = right_seen_ ? right_top_ : std::max(ub_r, 0.0);
+  const double top_l = left_.seen ? left_.top : std::max(ub_l, 0.0);
+  const double top_r = right_.seen ? right_.top : std::max(ub_r, 0.0);
 
   // Corner bounds: (seen left) x (unseen right) and (unseen left) x (seen
   // right). A corner with an exhausted unseen side cannot produce results.
-  const double corner_lr = right_done_ ? -kInf : top_l + ub_r;
-  const double corner_rl = left_done_ ? -kInf : ub_l + top_r;
+  const double corner_lr = right_.done ? -kInf : top_l + ub_r;
+  const double corner_rl = left_.done ? -kInf : ub_l + top_r;
   return std::max(corner_lr, corner_rl);
 }
 
 bool RankJoin::Advance() {
   // HRJN* pull strategy: take from the input whose unseen rows have the
   // higher bound; alternate on ties.
-  const double ub_l = left_done_ ? -kInf : left_->UpperBound();
-  const double ub_r = right_done_ ? -kInf : right_->UpperBound();
-  if (left_done_ && right_done_) return false;
+  const double ub_l = left_.done ? -kInf : left_.input->UpperBound();
+  const double ub_r = right_.done ? -kInf : right_.input->UpperBound();
+  if (left_.done && right_.done) return false;
 
   bool pull_left;
-  if (left_done_) {
+  if (left_.done) {
     pull_left = false;
-  } else if (right_done_) {
+  } else if (right_.done) {
     pull_left = true;
   } else if (ub_l != ub_r) {
     pull_left = ub_l > ub_r;
@@ -68,63 +55,84 @@ bool RankJoin::Advance() {
     pull_left_next_ = !pull_left_next_;
   }
 
-  ScoredRowIterator* input = pull_left ? left_.get() : right_.get();
-  ScoredRow row;
-  if (!input->Next(&row)) {
-    (pull_left ? left_done_ : right_done_) = true;
+  Side& own = pull_left ? left_ : right_;
+  Side& other = pull_left ? right_ : left_;
+  if (!own.input->Next(&scratch_)) {
+    own.done = true;
     // Dead-side pruning: a side that exhausted without producing a single
-    // row (its hash table is empty) can never supply a join partner, so no
-    // row the other input still holds can contribute a result. Discarding
-    // the other side lets block-backed scans account their remaining blocks
-    // as skipped instead of decoding them. Both the trigger (an input's
-    // contents) and the effect (suppressing rows that would join against an
-    // empty table) are pull-order independent, so emitted answers are
+    // row (its table is empty) can never supply a join partner, so no row
+    // the other input still holds can contribute a result. Discarding the
+    // other side lets block-backed scans account their remaining blocks as
+    // skipped instead of decoding them. Both the trigger (an input's
+    // contents) and the effect (suppressing rows that would join against
+    // an empty table) are pull-order independent, so emitted answers are
     // unchanged.
-    if (pull_left && !right_done_ && left_table_.empty()) {
-      right_->Discard();
-      right_done_ = true;
-    } else if (!pull_left && !left_done_ && right_table_.empty()) {
-      left_->Discard();
-      left_done_ = true;
+    if (!other.done && own.rows.empty()) {
+      other.input->Discard();
+      other.done = true;
     }
     return true;  // state changed; caller re-evaluates
   }
 
-  if (pull_left) {
-    if (!left_seen_) {
-      left_seen_ = true;
-      left_top_ = row.score;
-    }
-  } else {
-    if (!right_seen_) {
-      right_seen_ = true;
-      right_top_ = row.score;
-    }
+  if (width_ == 0) width_ = scratch_.bindings.size();
+  // Always on: Push() writes width_ cells per result.
+  SPECQP_CHECK(scratch_.bindings.size() == width_)
+      << "input rows of one join share one width";
+  for ([[maybe_unused]] VarId v : join_vars_) {
+    SPECQP_DCHECK(scratch_.bindings[v] != kInvalidTermId)
+        << "join variable unbound in input row";
+  }
+  if (!own.seen) {
+    own.seen = true;
+    own.top = scratch_.score;
   }
 
-  JoinKey key = KeyOf(row);  // non-const so the move below is real
-  HashTable& own = pull_left ? left_table_ : right_table_;
-  HashTable& other = pull_left ? right_table_ : left_table_;
-
+  const std::span<const TermId> row = scratch_.bindings;
   ++stats_->join_hash_probes;
-  auto it = other.find(key);
-  if (it != other.end()) {
-    for (const ScoredRow& match : it->second) {
-      // Key equality guarantees the join variables agree; any remaining
-      // overlap is non-join slots, where the LEFT input's binding wins
-      // deterministically (MergeBindingsInto is left-biased), independent
-      // of which side happened to be probed. With empty join_vars_ every
-      // pair matches and this degenerates to the cross product.
-      ScoredRow merged = pull_left ? row : match;
-      MergeBindingsInto(pull_left ? match : row, &merged);
-      merged.score = row.score + match.score;
-      ++stats_->join_results;
-      ++stats_->answer_objects;
-      queue_.push(std::move(merged));
-    }
+  for (uint32_t m = other.rows.Find(row); m != RowTable::kNone;
+       m = other.rows.NextWithSameKey(m)) {
+    // Key equality guarantees the join variables agree; any remaining
+    // overlap is non-join slots, where the LEFT input's binding wins
+    // deterministically, independent of which side happened to be probed.
+    // With empty join_vars_ every pair matches and this degenerates to the
+    // cross product.
+    const std::span<const TermId> match = other.rows.Row(m);
+    Push(pull_left ? row : match, pull_left ? match : row,
+         scratch_.score + other.scores[m]);
   }
-  own[std::move(key)].push_back(std::move(row));
+  own.rows.Insert(row);
+  own.scores.push_back(scratch_.score);
   return true;
+}
+
+void RankJoin::Push(std::span<const TermId> left,
+                    std::span<const TermId> right, double score) {
+  // Without a free slot every slot is queued, so the new one is next.
+  uint32_t slot = static_cast<uint32_t>(queue_.size());
+  if (free_slots_.empty()) {
+    pending_cells_.resize(pending_cells_.size() + width_);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::span<TermId> merged = PendingRow(slot);
+  std::copy(left.begin(), left.end(), merged.begin());
+  MergeBindingsInto(right, merged);
+  queue_.push_back(Pending{score, slot});
+  std::push_heap(queue_.begin(), queue_.end(), HeapOrder());
+  ++stats_->join_results;
+  ++stats_->answer_objects;
+}
+
+void RankJoin::Pop(ScoredRow* out) {
+  std::pop_heap(queue_.begin(), queue_.end(), HeapOrder());
+  const Pending top = queue_.back();
+  queue_.pop_back();
+  const std::span<const TermId> row = PendingRow(top.slot);
+  out->bindings.assign(row.begin(), row.end());
+  out->score = top.score;
+  free_slots_.push_back(top.slot);
+  ++rows_emitted_;
 }
 
 bool RankJoin::Next(ScoredRow* out) {
@@ -141,18 +149,14 @@ bool RankJoin::Next(ScoredRow* out) {
     // RowBefore order. This is what makes the output a deterministic total
     // order instead of a discovery order (required for parallel == serial).
     const double threshold = Threshold();
-    if (!queue_.empty() && queue_.top().score > threshold + kEps) {
-      *out = queue_.top();
-      queue_.pop();
-      ++rows_emitted_;
+    if (!queue_.empty() && queue_.front().score > threshold + kEps) {
+      Pop(out);
       return true;
     }
     if (!Advance()) {
       // Both inputs exhausted: drain whatever is buffered.
       if (queue_.empty()) return false;
-      *out = queue_.top();
-      queue_.pop();
-      ++rows_emitted_;
+      Pop(out);
       return true;
     }
   }
@@ -160,23 +164,24 @@ bool RankJoin::Next(ScoredRow* out) {
 
 double RankJoin::UpperBound() const {
   const double threshold = Threshold();
-  const double buffered =
-      queue_.empty() ? -kInf : queue_.top().score;
+  const double buffered = queue_.empty() ? -kInf : queue_.front().score;
   const double bound = std::max(threshold, buffered);
   return (bound == -kInf) ? kExhausted : bound;
 }
 
 void RankJoin::Discard() {
-  if (!left_done_) {
-    left_->Discard();
-    left_done_ = true;
+  if (!left_.done) {
+    left_.input->Discard();
+    left_.done = true;
   }
-  if (!right_done_) {
-    right_->Discard();
-    right_done_ = true;
+  if (!right_.done) {
+    right_.input->Discard();
+    right_.done = true;
   }
   // Buffered-but-unemitted results are abandoned so Next() returns false.
-  queue_ = decltype(queue_)(QueueOrder());
+  queue_.clear();
+  free_slots_.clear();
+  pending_cells_.clear();
 }
 
 }  // namespace specqp

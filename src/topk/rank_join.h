@@ -3,12 +3,12 @@
 
 #include <limits>
 #include <memory>
-#include <queue>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "topk/exec_context.h"
 #include "topk/operator.h"
+#include "topk/row_table.h"
 
 namespace specqp {
 
@@ -17,14 +17,23 @@ namespace specqp {
 // descending order of the score *sum*, reading as little of each input as
 // possible.
 //
-// State: one hash table per input keyed on the join-variable values, an
-// output priority queue, and the classic corner-bound threshold
+// State: per input, every row pulled so far in a RowTable (one arena of
+// fixed-width rows, hash-indexed in place on the join-variable values,
+// equal keys chained) plus the rows' scores; the buffered join results;
+// and the classic corner-bound threshold
 //
 //   T = max( topL + ubR , ubL + topR )
 //
 // where topX is the highest score seen on input X (its first row) and ubX
 // the input's bound on unseen rows. Input selection follows HRJN*: pull
 // from the input with the higher remaining upper bound.
+//
+// Buffered results live in one more arena whose slots are recycled
+// through a free list; the output queue is a binary heap of (score, slot)
+// pairs in RowBefore order, so growing it never moves bindings. Children
+// fill one member scratch row, and an emitted result is copied into the
+// caller's row, whose buffer keeps its capacity. After the arenas have
+// grown to their high-water marks the join allocates nothing per row.
 //
 // Emission is *strict*: a buffered result is emitted only once its score
 // strictly exceeds T, i.e. once no future join result can tie it. Together
@@ -61,44 +70,67 @@ class RankJoin final : public ScoredRowIterator {
   uint64_t RowsEmitted() const override { return rows_emitted_; }
 
  private:
-  using JoinKey = std::vector<TermId>;
-  using HashTable = std::unordered_map<JoinKey, std::vector<ScoredRow>,
-                                       BindingsHash>;
+  // One input and everything pulled from it so far.
+  struct Side {
+    Side(std::unique_ptr<ScoredRowIterator> in, const std::vector<VarId>& key)
+        : input(std::move(in)), rows(key) {}
 
-  JoinKey KeyOf(const ScoredRow& row) const;
+    std::unique_ptr<ScoredRowIterator> input;
+    RowTable rows;               // keyed on the join variables
+    std::vector<double> scores;  // indexed by row id of `rows`
+    bool done = false;
+    bool seen = false;
+    double top = 0.0;  // score of the first row, once seen
+  };
+
+  // A buffered join result: its score and its slot in pending_cells_.
+  struct Pending {
+    double score;
+    uint32_t slot;
+  };
+
   double Threshold() const;
   // Pulls one row from the chosen input and joins it against the other
   // side's table; returns false if both inputs are exhausted.
   bool Advance();
+  // Buffers the join of `left` and `right` (left wins, MergeBindingsInto).
+  void Push(std::span<const TermId> left, std::span<const TermId> right,
+            double score);
+  // Emits the queue's top into `out`.
+  void Pop(ScoredRow* out);
+  std::span<TermId> PendingRow(uint32_t slot) {
+    return {pending_cells_.data() + static_cast<size_t>(slot) * width_,
+            width_};
+  }
+  std::span<const TermId> PendingRow(uint32_t slot) const {
+    return {pending_cells_.data() + static_cast<size_t>(slot) * width_,
+            width_};
+  }
+  // The queue's heap order: true if `a` is emitted after `b`.
+  auto HeapOrder() const {
+    return [this](const Pending& a, const Pending& b) {
+      return ArenaRowBefore(b.score, PendingRow(b.slot), a.score,
+                            PendingRow(a.slot));
+    };
+  }
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
   static constexpr double kEps = 1e-9;
 
-  std::unique_ptr<ScoredRowIterator> left_;
-  std::unique_ptr<ScoredRowIterator> right_;
   std::vector<VarId> join_vars_;
+  Side left_;
+  Side right_;
   ExecContext* ctx_;
   ExecStats* stats_;
 
-  HashTable left_table_;
-  HashTable right_table_;
-  bool left_done_ = false;
-  bool right_done_ = false;
-  bool left_seen_ = false;
-  bool right_seen_ = false;
-  double left_top_ = 0.0;
-  double right_top_ = 0.0;
+  ScoredRow scratch_;  // the row being pulled from a child
+  size_t width_ = 0;   // row width, fixed by the first row pulled
   bool pull_left_next_ = true;  // tie-breaker for alternating pulls
   uint64_t rows_emitted_ = 0;
 
-  struct QueueOrder {
-    // std::priority_queue keeps the *greatest* element (per comparator) on
-    // top; RowBefore(a, b) == "a should be emitted before b".
-    bool operator()(const ScoredRow& a, const ScoredRow& b) const {
-      return RowBefore(b, a);
-    }
-  };
-  std::priority_queue<ScoredRow, std::vector<ScoredRow>, QueueOrder> queue_;
+  std::vector<TermId> pending_cells_;  // width_ cells per slot
+  std::vector<uint32_t> free_slots_;
+  std::vector<Pending> queue_;  // binary heap, top = next to emit
 };
 
 }  // namespace specqp

@@ -8,16 +8,23 @@
 namespace specqp {
 
 bool RowBefore(const ScoredRow& a, const ScoredRow& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.bindings < b.bindings;
+  return ArenaRowBefore(a.score, a.bindings, b.score, b.bindings);
+}
+
+bool ArenaRowBefore(double a_score, std::span<const TermId> a,
+                    double b_score, std::span<const TermId> b) {
+  if (a_score != b_score) return a_score > b_score;
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 void MergeBindingsInto(const ScoredRow& right, ScoredRow* left) {
-  SPECQP_DCHECK(left->bindings.size() == right.bindings.size());
-  for (size_t i = 0; i < right.bindings.size(); ++i) {
-    if (left->bindings[i] == kInvalidTermId) {
-      left->bindings[i] = right.bindings[i];
-    }
+  MergeBindingsInto(right.bindings, left->bindings);
+}
+
+void MergeBindingsInto(std::span<const TermId> right, std::span<TermId> left) {
+  SPECQP_DCHECK(left.size() == right.size());
+  for (size_t i = 0; i < right.size(); ++i) {
+    if (left[i] == kInvalidTermId) left[i] = right[i];
     // Slots bound on both sides keep `left`'s value. Join operators
     // guarantee agreement on the join variables via key equality before
     // merging; non-join slots may legitimately differ (e.g. a cross

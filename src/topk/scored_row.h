@@ -2,6 +2,7 @@
 #define SPECQP_TOPK_SCORED_ROW_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,12 @@ struct BindingsHash {
 };
 
 // Total order for deterministic tie-breaking: score descending, then
-// bindings lexicographically ascending.
+// bindings lexicographically ascending. ArenaRowBefore is the same order
+// over rows kept in operator arenas (a separate name, so RowBefore stays
+// usable as a comparator argument).
 bool RowBefore(const ScoredRow& a, const ScoredRow& b);
+bool ArenaRowBefore(double a_score, std::span<const TermId> a,
+                    double b_score, std::span<const TermId> b);
 
 // Merges `right`'s bindings into `left` (kInvalidTermId treated as
 // "unbound"): unbound slots of `left` take `right`'s value; slots bound on
@@ -49,8 +54,11 @@ bool RowBefore(const ScoredRow& a, const ScoredRow& b);
 // conflict, e.g. in a cross product with no join variables. Callers must
 // pick the merge target deterministically (RankJoin always lets its left
 // input win, regardless of pull order) so answers are a function of the
-// inputs alone. Semantics are identical in Debug and Release builds.
+// inputs alone. Semantics are identical in Debug and Release builds. The
+// span form merges rows kept in operator arenas; both forms require equal
+// widths.
 void MergeBindingsInto(const ScoredRow& right, ScoredRow* left);
+void MergeBindingsInto(std::span<const TermId> right, std::span<TermId> left);
 
 // "?s=<Shakira> ?o=<guitar> (score 1.73)" — for examples and debugging.
 std::string RowToString(const ScoredRow& row, const Query& query,

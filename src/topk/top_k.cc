@@ -1,7 +1,6 @@
 #include "topk/top_k.h"
 
-#include <unordered_set>
-
+#include "topk/row_table.h"
 #include "util/logging.h"
 
 namespace specqp {
@@ -11,14 +10,10 @@ std::vector<ScoredRow> PullTopK(ScoredRowIterator* root, size_t k,
   SPECQP_CHECK(root != nullptr && stats != nullptr);
   std::vector<ScoredRow> out;
   out.reserve(k);
-  std::unordered_set<std::vector<TermId>, BindingsHash> seen;
-  // At most k distinct binding vectors are ever inserted (duplicates do
-  // not grow the set), so one up-front reservation removes every rehash —
-  // each of which would re-hash all resident full binding vectors.
-  seen.reserve(k + 1);
+  BindingSet seen;
   ScoredRow row;
   while (out.size() < k && root->Next(&row)) {
-    if (!seen.insert(row.bindings).second) continue;
+    if (!seen.Insert(row.bindings)) continue;
     out.push_back(row);
   }
   return out;

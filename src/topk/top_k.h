@@ -11,8 +11,11 @@ namespace specqp {
 
 // Pulls up to `k` distinct answers from the root of an operator tree. The
 // root emits in descending score order, so the driver simply takes the
-// first k distinct binding vectors (defensive dedup — operator trees built
-// by the plan executor already deduplicate within merges).
+// first k distinct binding vectors. The dedup is defensive — operator trees
+// built by the plan executor already deduplicate within merges — and uses
+// the same arena-backed BindingSet as the merges, so it allocates O(log k)
+// times rather than once per answer; one row buffer is reused for every
+// pull.
 std::vector<ScoredRow> PullTopK(ScoredRowIterator* root, size_t k,
                                 ExecStats* stats);
 

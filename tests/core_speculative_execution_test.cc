@@ -68,7 +68,10 @@ void ExpectSameRows(const std::vector<ScoredRow>& expected,
 //     outer join always prefers the inner's dominant upper bound
 //     (1 + ub_C > the A* merge's 1.0), and after the kAnswers matches
 //     the inner's Next() drains C's entire tail hunting for a
-//     nonexistent further match — milliseconds;
+//     nonexistent further match — milliseconds. The tail is long enough
+//     (about 15-30 ms to drain on a 4-core x86-64 host) that the racer
+//     thread starting the runner-up outruns it even on a loaded machine;
+//     at a few ms a delayed pool worker let the primary win;
 //   - kRelaxJunk R-only subjects at raw 995, so relaxing A -> R (weight
 //     0.8) looks juicy to the estimator and R stays non-empty (the
 //     certificate bound is live, not the unconditional < 0 case).
@@ -79,7 +82,7 @@ void ExpectSameRows(const std::vector<ScoredRow>& expected,
 // runner-up — the correct {A,B,C} — must win the race on merit.
 struct SpecFixture {
   static constexpr size_t kAnswers = 12;
-  static constexpr size_t kFillers = 30000;
+  static constexpr size_t kFillers = 120000;
   static constexpr size_t kRelaxJunk = 3000;
 
   TripleStore store;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +202,97 @@ TEST(IncrementalMergeTest, LazyInputsNotPulledUntilNeeded) {
   // pulled at all (its bound 0.1 never became the maximum).
   EXPECT_EQ(low_pulls, 0);
 }
+
+// --- differential: merge == first-occurrence-deduped k-way merge -----------
+
+class IncrementalMergeDifferentialTest : public ::testing::TestWithParam<int> {
+};
+
+TEST_P(IncrementalMergeDifferentialTest, EmitsExactlyTheDedupedKWayMerge) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t num_inputs = 1 + rng.NextBounded(30);
+    const size_t width = 1 + rng.NextBounded(3);
+    // Few score levels give equal bounds across inputs; a small value
+    // domain gives the same binding from several inputs.
+    const uint64_t levels = 1 + rng.NextBounded(trial % 2 == 0 ? 3 : 50);
+    const uint64_t domain = 1 + rng.NextBounded(6);
+
+    struct Entry {
+      ScoredRow row;
+      size_t input;
+      size_t position;
+    };
+    std::vector<Entry> all;
+    std::vector<std::unique_ptr<ScoredRowIterator>> inputs;
+    for (size_t i = 0; i < num_inputs; ++i) {
+      std::vector<ScoredRow> rows;
+      const size_t len = rng.NextBounded(16);
+      for (size_t j = 0; j < len; ++j) {
+        const double level = static_cast<double>(rng.NextBounded(levels));
+        ScoredRow row(width, 0.01 + 0.13 * level);
+        for (size_t v = 0; v < width; ++v) {
+          // Leave some slots unbound, as projected chain rows are.
+          if (rng.NextBounded(4) != 0) {
+            row.bindings[v] = static_cast<TermId>(rng.NextBounded(domain));
+          }
+        }
+        rows.push_back(std::move(row));
+      }
+      std::stable_sort(rows.begin(), rows.end(),
+                       [](const ScoredRow& a, const ScoredRow& b) {
+                         return a.score > b.score;
+                       });
+      for (size_t j = 0; j < rows.size(); ++j) all.push_back({rows[j], i, j});
+      inputs.push_back(std::make_unique<VectorIterator>(std::move(rows)));
+    }
+
+    // The k-way merge: highest score first, ties to the lowest input index,
+    // each input in its own order. Then keep each binding's first
+    // occurrence.
+    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
+      if (a.row.score != b.row.score) return a.row.score > b.row.score;
+      if (a.input != b.input) return a.input < b.input;
+      return a.position < b.position;
+    });
+    std::vector<ScoredRow> expected;
+    std::set<std::vector<TermId>> seen;
+    for (const Entry& e : all) {
+      if (seen.insert(e.row.bindings).second) expected.push_back(e.row);
+    }
+
+    ExecStats stats;
+    ExecContext ctx(&stats);
+    IncrementalMerge merge(std::move(inputs), &ctx);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " inputs "
+                                      << num_inputs << " rows " << all.size());
+    // UpperBound() is exact: the score of the next row the merge would
+    // consume, duplicates included.
+    size_t consumed = 0;
+    ScoredRow row;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(merge.UpperBound(), all[consumed].row.score) << "rank " << i;
+      ASSERT_TRUE(merge.Next(&row)) << "rank " << i;
+      ASSERT_EQ(row.bindings, expected[i].bindings) << "rank " << i;
+      ASSERT_EQ(row.score, expected[i].score) << "rank " << i;
+      while (all[consumed].row.bindings != row.bindings ||
+             all[consumed].row.score != row.score) {
+        ++consumed;
+      }
+      ++consumed;
+    }
+    EXPECT_EQ(merge.UpperBound(), consumed < all.size()
+                                      ? all[consumed].row.score
+                                      : ScoredRowIterator::kExhausted);
+    EXPECT_FALSE(merge.Next(&row));
+    EXPECT_EQ(merge.UpperBound(), ScoredRowIterator::kExhausted);
+    EXPECT_EQ(stats.merge_rows, expected.size());
+    EXPECT_EQ(stats.merge_duplicates, all.size() - expected.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalMergeDifferentialTest,
+                         ::testing::Range(0, 12));
 
 TEST(IncrementalMergeDeathTest, NoInputsAborts) {
   ExecStats stats;

@@ -313,6 +313,107 @@ TEST_P(RankJoinPropertyTest, MatchesNaiveJoin) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RankJoinPropertyTest, ::testing::Range(0, 10));
 
+// --- differential: rank join == brute-force nested-loop join ---------------
+
+// `n` rows of a `width`-slot schema binding the slots flagged in `bound` to
+// values in [1, domain], score-descending. Scores come from `levels`
+// distinct values, so few levels make wide tie bands.
+std::vector<ScoredRow> RandomSide(Rng* rng, size_t width,
+                                  const std::vector<bool>& bound, size_t n,
+                                  uint64_t domain, uint64_t levels) {
+  std::vector<ScoredRow> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const double level = static_cast<double>(rng->NextBounded(levels));
+    ScoredRow row(width, 0.05 + 0.37 * level);
+    for (size_t v = 0; v < width; ++v) {
+      if (!bound[v]) continue;
+      row.bindings[v] = static_cast<TermId>(1 + rng->NextBounded(domain));
+    }
+    rows.push_back(std::move(row));
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const ScoredRow& a, const ScoredRow& b) {
+                     return a.score > b.score;
+                   });
+  return rows;
+}
+
+class RankJoinDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RankJoinDifferentialTest, EmitsExactlyTheNestedLoopJoin) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Up to 12 slots: the query's variables plus chain scratch slots.
+    const size_t width = 1 + rng.NextBounded(12);
+    const size_t num_join = rng.NextBounded(std::min<size_t>(width, 3) + 1);
+    std::vector<VarId> slots(width);
+    for (size_t v = 0; v < width; ++v) slots[v] = static_cast<VarId>(v);
+    rng.Shuffle(&slots);
+    std::vector<VarId> join_vars(slots.begin(), slots.begin() + num_join);
+    std::sort(join_vars.begin(), join_vars.end());
+
+    // Both sides bind the join variables; each other slot is bound on
+    // either side, both (a non-join conflict the left side wins) or none.
+    std::vector<bool> left_bound(width, false);
+    std::vector<bool> right_bound(width, false);
+    for (VarId v : join_vars) left_bound[v] = right_bound[v] = true;
+    for (size_t v = 0; v < width; ++v) {
+      if (left_bound[v] && right_bound[v]) continue;
+      left_bound[v] = rng.NextBounded(2) == 0;
+      right_bound[v] = rng.NextBounded(2) == 0;
+    }
+    // Small key domains make duplicate join keys; few score levels make
+    // wide tie bands.
+    const uint64_t domain = 1 + rng.NextBounded(4);
+    const uint64_t levels = 1 + rng.NextBounded(trial % 2 == 0 ? 3 : 40);
+    const std::vector<ScoredRow> left = RandomSide(
+        &rng, width, left_bound, rng.NextBounded(40), domain, levels);
+    const std::vector<ScoredRow> right = RandomSide(
+        &rng, width, right_bound, rng.NextBounded(40), domain, levels);
+
+    std::vector<ScoredRow> expected;
+    for (const ScoredRow& l : left) {
+      for (const ScoredRow& r : right) {
+        bool match = true;
+        for (VarId v : join_vars) {
+          match = match && l.bindings[v] == r.bindings[v];
+        }
+        if (!match) continue;
+        ScoredRow merged = l;
+        MergeBindingsInto(r, &merged);
+        merged.score = l.score + r.score;
+        expected.push_back(std::move(merged));
+      }
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const ScoredRow& a, const ScoredRow& b) {
+                return RowBefore(a, b);
+              });
+
+    ExecStats stats;
+    ExecContext ctx(&stats);
+    RankJoin join(std::make_unique<VectorIterator>(left),
+                  std::make_unique<VectorIterator>(right), join_vars, &ctx);
+    const std::vector<ScoredRow> actual = Drain(&join);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " width " << width << " join vars "
+                 << num_join << " rows " << left.size() << "x" << right.size());
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_EQ(actual[i].bindings, expected[i].bindings) << "rank " << i;
+      ASSERT_EQ(actual[i].score, expected[i].score) << "rank " << i;
+    }
+    EXPECT_EQ(stats.join_results, expected.size());
+    EXPECT_EQ(stats.answer_objects, expected.size());
+    // A full drain pulls, and probes with, every input row once.
+    EXPECT_EQ(stats.join_hash_probes, left.size() + right.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RankJoinDifferentialTest,
+                         ::testing::Range(0, 12));
+
 TEST(PullTopKTest, TakesKInOrder) {
   ExecStats stats;
   ExecContext ctx(&stats);
