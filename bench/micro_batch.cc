@@ -154,7 +154,7 @@ void Run(Json& out) {
   config.Set("queries", workload.size());
   config.Set("objects_per_predicate", kNumObjects);
   config.Set("k", kTopK);
-  config.Set("store", "v2 mmap");
+  config.Set("store", "v3 mmap");
 
   const std::vector<int> widths = {10, 18, 18, 10, 18, 10};
   PrintRow({"strategy", "sequential ms", "batched ms", "speedup",

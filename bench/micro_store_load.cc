@@ -1,22 +1,20 @@
 // Store-load microbenchmark: how fast a saved knowledge graph becomes
-// queryable, v1 (parse + re-index) vs v2 (SQPSTOR2 zero-copy mmap) vs v3
-// (SQPSTOR3 block-compressed postings) vs an N-shard SQPBNDL1 bundle of
-// v3 shards (--shards, see docs/FORMATS.md). Reports cold (first load in
-// this process) and warm (best of repeats, page cache hot) figures plus
-// bytes_mapped per format — the v3 footprint reduction (delta-encoded
-// posting blocks, no materialised SPO permutation) is the headline
-// metric; the bundle rows price the N-way open-time merge and record the
-// per-shard scatter-gather counters — and checks that all engines give
-// identical answers.
+// queryable — LoadStore (eager verification + materialised, re-indexed
+// owned store; what EngineOptions::mmap = false serves) vs the zero-copy
+// SQPSTOR3 mmap open vs an N-shard SQPBNDL1 bundle of the same store
+// (--shards, see docs/FORMATS.md). Reports cold (first load in this
+// process) and warm (best of repeats, page cache hot) figures plus
+// bytes_mapped; the bundle rows price the N-way open-time merge and record
+// the per-shard scatter-gather counters — and checks that all engines
+// give identical answers.
 //
 // This is the measurement behind the "O(ms) load" line in ROADMAP.md: the
 // mmap opens do no per-triple parsing, so their latency is (near)
-// independent of store size while v1 parsing scales with it. The v3 open
-// additionally synthesises the identity SPO view, a single O(triples)
-// fill that trades a few ms for the smaller mapping.
+// independent of store size while LoadStore scales with it. The mmap open
+// synthesises the identity SPO view, a single O(triples) fill that trades
+// a few ms for the smaller file.
 //
-// --scale multiplies the generated store (subjects/objects/triples); the
-// v3-vs-v2 bytes_mapped reduction is tracked at scale 10 in CI.
+// --scale multiplies the generated store (subjects/objects/triples).
 
 #include <chrono>
 #include <cstdio>
@@ -104,14 +102,12 @@ LoadTiming Measure(Fn load) {
 }
 
 void Run(Json& out) {
-  PrintTitle("micro_store_load — v1 parse vs v2/v3 mmap store open");
+  PrintTitle("micro_store_load — LoadStore vs mmap store open");
 
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "specqp_micro_store_load";
   fs::create_directories(dir);
-  const std::string v1_path = (dir / "store.v1.sqp").string();
-  const std::string v2_path = (dir / "store.v2.sqp").string();
   const std::string v3_path = (dir / "store.v3.sqp").string();
 
   const size_t scale = DatasetScale();
@@ -122,12 +118,8 @@ void Run(Json& out) {
   g_expected_triples = store.size();
   RelaxationIndex no_rules;
 
-  // Save all three formats; embed a small warmed stats snapshot in v2/v3.
+  // Save the store with a small warmed stats snapshot embedded.
   WallTimer save_timer;
-  SPECQP_CHECK(SaveStoreV1(store, v1_path).ok());
-  const double save_v1_ms = save_timer.ElapsedMillis();
-  save_timer.Reset();
-  double save_v2_ms = 0.0;
   {
     Engine warm(&store, &no_rules);
     for (TermId p = 0; p < store.dict().size(); ++p) {
@@ -136,18 +128,14 @@ void Run(Json& out) {
         warm.catalog().GetStats(PatternKey{kInvalidTermId, p, kInvalidTermId});
       }
     }
+    save_timer.Reset();
     SaveStoreOptions save;
     save.stats = warm.catalog().Snapshot();
     save.stats_head_fraction = warm.catalog().head_fraction();
-    save.format_version = 2;
-    SPECQP_CHECK(SaveStore(store, v2_path, save).ok());
-    save_v2_ms = save_timer.ElapsedMillis();
-    save_timer.Reset();
-    save.format_version = 3;
     SPECQP_CHECK(SaveStore(store, v3_path, save).ok());
   }
   const double save_v3_ms = save_timer.ElapsedMillis();
-  // The sharded variant: the same store as an N-shard bundle of v3 files.
+  // The sharded variant: the same store as an N-shard bundle.
   const size_t shard_count = BenchShards();
   const std::string bundle_path = (dir / "store.bundle").string();
   save_timer.Reset();
@@ -157,32 +145,17 @@ void Run(Json& out) {
     SPECQP_CHECK(WriteShardBundle(store, bundle_path, bundle_options).ok());
   }
   const double save_bundle_ms = save_timer.ElapsedMillis();
-  const auto v1_bytes = fs::file_size(v1_path);
-  const auto v2_bytes = fs::file_size(v2_path);
   const auto v3_bytes = fs::file_size(v3_path);
 
   // --- load timings ----------------------------------------------------------
 
-  const LoadTiming v1_parse = Measure([&] {
-    auto loaded = LoadStore(v1_path);
-    SPECQP_CHECK(loaded.ok()) << loaded.status().ToString();
-    return loaded.value().size();
-  });
-  const LoadTiming v2_parse = Measure([&] {
-    auto loaded = LoadStore(v2_path);
+  const LoadTiming v3_parse = Measure([&] {
+    auto loaded = LoadStore(v3_path);
     SPECQP_CHECK(loaded.ok()) << loaded.status().ToString();
     return loaded.value().size();
   });
   // The engine fast path: structural open + metadata checksums, bulk
   // sections verified lazily.
-  size_t bytes_mapped_v2 = 0;
-  const LoadTiming v2_mmap = Measure([&] {
-    auto mapped = MmapStore::Open(v2_path);
-    SPECQP_CHECK(mapped.ok()) << mapped.status().ToString();
-    SPECQP_CHECK(mapped.value()->VerifyMetadataSections().ok());
-    bytes_mapped_v2 = mapped.value()->bytes_mapped();
-    return mapped.value()->store().size();
-  });
   size_t bytes_mapped_v3 = 0;
   const LoadTiming v3_mmap = Measure([&] {
     auto mapped = MmapStore::Open(v3_path);
@@ -191,15 +164,10 @@ void Run(Json& out) {
     bytes_mapped_v3 = mapped.value()->bytes_mapped();
     return mapped.value()->store().size();
   });
-  // Fully checksummed opens (what LoadStore-grade integrity costs; for v3
-  // this decode-validates every posting block).
+  // Fully checksummed open (the integrity level LoadStore uses): this
+  // decode-validates every posting block.
   MmapStore::Options eager;
   eager.verify = MmapStore::Verify::kEager;
-  const LoadTiming v2_mmap_eager = Measure([&] {
-    auto mapped = MmapStore::Open(v2_path, eager);
-    SPECQP_CHECK(mapped.ok()) << mapped.status().ToString();
-    return mapped.value()->store().size();
-  });
   const LoadTiming v3_mmap_eager = Measure([&] {
     auto mapped = MmapStore::Open(v3_path, eager);
     SPECQP_CHECK(mapped.ok()) << mapped.status().ToString();
@@ -229,25 +197,19 @@ void Run(Json& out) {
   mmap_options.mmap = true;
   EngineOptions parse_options = MakeEngineOptions();
   parse_options.mmap = false;
-  auto mapped_engine = Engine::OpenFromPath(v2_path, &no_rules, mmap_options);
   auto mapped_v3_engine =
       Engine::OpenFromPath(v3_path, &no_rules, mmap_options);
   auto sharded_engine =
       Engine::OpenFromPath(bundle_path, &no_rules, mmap_options);
-  auto parsed_engine = Engine::OpenFromPath(v2_path, &no_rules, parse_options);
-  SPECQP_CHECK(mapped_engine.ok() && mapped_v3_engine.ok() &&
-               sharded_engine.ok() && parsed_engine.ok());
-  SPECQP_CHECK(mapped_engine.value().mmap_backed());
+  auto parsed_engine = Engine::OpenFromPath(v3_path, &no_rules, parse_options);
+  SPECQP_CHECK(mapped_v3_engine.ok() && sharded_engine.ok() &&
+               parsed_engine.ok());
   SPECQP_CHECK(mapped_v3_engine.value().mmap_backed());
   SPECQP_CHECK(sharded_engine.value().mmap_backed());
   const std::string query_text =
       "SELECT ?s WHERE { ?s <predicate/0> <object/0> . "
       "?s <predicate/1> <object/1> }";
   WallTimer first_query_timer;
-  auto mapped_rows = RunTextQuery(*mapped_engine.value().engine, query_text,
-                                  /*k=*/10, Strategy::kNoRelax);
-  const double mmap_first_query_ms = first_query_timer.ElapsedMillis();
-  first_query_timer.Reset();
   auto mapped_v3_rows = RunTextQuery(*mapped_v3_engine.value().engine,
                                      query_text, /*k=*/10, Strategy::kNoRelax);
   const double mmap_v3_first_query_ms = first_query_timer.ElapsedMillis();
@@ -257,8 +219,7 @@ void Run(Json& out) {
   const double bundle_first_query_ms = first_query_timer.ElapsedMillis();
   auto parsed_rows = RunTextQuery(*parsed_engine.value().engine, query_text,
                                   /*k=*/10, Strategy::kNoRelax);
-  SPECQP_CHECK(mapped_rows.ok() && mapped_v3_rows.ok() && sharded_rows.ok() &&
-               parsed_rows.ok());
+  SPECQP_CHECK(mapped_v3_rows.ok() && sharded_rows.ok() && parsed_rows.ok());
   auto rows_match = [](const Engine::QueryResult& a,
                        const Engine::QueryResult& b) {
     if (a.rows.size() != b.rows.size()) return false;
@@ -271,7 +232,6 @@ void Run(Json& out) {
     return true;
   };
   const bool answers_match =
-      rows_match(mapped_rows.value(), parsed_rows.value()) &&
       rows_match(mapped_v3_rows.value(), parsed_rows.value()) &&
       rows_match(sharded_rows.value(), parsed_rows.value());
   SPECQP_CHECK(answers_match) << "mmap and parsed engines disagree";
@@ -290,12 +250,9 @@ void Run(Json& out) {
   const std::string bundle_eager_name =
       StrFormat("bundle open, %zu shards (eager CRC)", shard_count);
   const RowSpec rows[] = {
-      {"v1 LoadStore (parse + index)", &v1_parse},
-      {"v2 LoadStore (parse + index)", &v2_parse},
-      {"v2 mmap open (lazy CRC)", &v2_mmap},
-      {"v3 mmap open (lazy CRC)", &v3_mmap},
-      {"v2 mmap open (eager CRC)", &v2_mmap_eager},
-      {"v3 mmap open (eager CRC)", &v3_mmap_eager},
+      {"LoadStore (verify + index)", &v3_parse},
+      {"mmap open (lazy CRC)", &v3_mmap},
+      {"mmap open (eager CRC)", &v3_mmap_eager},
       {bundle_lazy_name.c_str(), &bundle_mmap},
       {bundle_eager_name.c_str(), &bundle_mmap_eager},
   };
@@ -304,22 +261,15 @@ void Run(Json& out) {
               StrFormat("%.3f", row.timing->warm_ms)},
              widths);
   }
-  const double speedup_cold = v1_parse.cold_ms / v2_mmap.cold_ms;
-  const double speedup_warm = v1_parse.warm_ms / v2_mmap.warm_ms;
-  const double v3_reduction =
-      bytes_mapped_v2 == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(bytes_mapped_v3) /
-                      static_cast<double>(bytes_mapped_v2);
+  const double speedup_cold = v3_parse.cold_ms / v3_mmap.cold_ms;
+  const double speedup_warm = v3_parse.warm_ms / v3_mmap.warm_ms;
   std::printf(
-      "\nmmap speedup vs v1: %.1fx cold, %.1fx warm; bytes mapped "
-      "v2=%zu v3=%zu (v3 %.1f%% smaller); first mapped query "
-      "v2 %.3f ms, v3 %.3f ms; answers match: %s\n",
-      speedup_cold, speedup_warm, bytes_mapped_v2, bytes_mapped_v3,
-      100.0 * v3_reduction, mmap_first_query_ms, mmap_v3_first_query_ms,
+      "\nmmap speedup vs LoadStore: %.1fx cold, %.1fx warm; bytes mapped "
+      "%zu; first mapped query %.3f ms; answers match: %s\n",
+      speedup_cold, speedup_warm, bytes_mapped_v3, mmap_v3_first_query_ms,
       answers_match ? "yes" : "no");
   std::printf(
-      "%zu-shard bundle: %.3f ms warm open (%.1fx the v3 single file, "
+      "%zu-shard bundle: %.3f ms warm open (%.1fx the single file, "
       "merge included), %zu bytes mapped, first query %.3f ms\n",
       shard_count, bundle_mmap.warm_ms,
       v3_mmap.warm_ms > 0.0 ? bundle_mmap.warm_ms / v3_mmap.warm_ms : 0.0,
@@ -330,11 +280,7 @@ void Run(Json& out) {
   config.Set("terms",
              (kNumSubjects + kNumObjects) * scale + kNumPredicates);
   config.Set("repeats", kRepeats);
-  config.Set("file_bytes_v1", static_cast<uint64_t>(v1_bytes));
-  config.Set("file_bytes_v2", static_cast<uint64_t>(v2_bytes));
   config.Set("file_bytes_v3", static_cast<uint64_t>(v3_bytes));
-  config.Set("save_v1_ms", save_v1_ms);
-  config.Set("save_v2_ms", save_v2_ms);
   config.Set("save_v3_ms", save_v3_ms);
   config.Set("save_bundle_ms", save_bundle_ms);
   config.Set("bundle_shards", shard_count);
@@ -345,11 +291,8 @@ void Run(Json& out) {
     const LoadTiming* timing;
     uint64_t mapped;
   } specs[] = {
-      {"v1_parse", &v1_parse, 0},
-      {"v2_parse", &v2_parse, 0},
-      {"v2_mmap_lazy", &v2_mmap, bytes_mapped_v2},
+      {"v3_parse", &v3_parse, 0},
       {"v3_mmap_lazy", &v3_mmap, bytes_mapped_v3},
-      {"v2_mmap_eager", &v2_mmap_eager, bytes_mapped_v2},
       {"v3_mmap_eager", &v3_mmap_eager, bytes_mapped_v3},
       {"bundle_mmap_lazy", &bundle_mmap, bytes_mapped_bundle},
       {"bundle_mmap_eager", &bundle_mmap_eager, bytes_mapped_bundle},
@@ -361,10 +304,8 @@ void Run(Json& out) {
     j.Set("load_ms_warm", spec.timing->warm_ms);
     j.Set("bytes_mapped", spec.mapped);
   }
-  out.Set("speedup_cold_vs_v1", speedup_cold);
-  out.Set("speedup_warm_vs_v1", speedup_warm);
-  out.Set("bytes_mapped_reduction_v3_vs_v2", v3_reduction);
-  out.Set("mmap_first_query_ms", mmap_first_query_ms);
+  out.Set("speedup_cold_vs_parse", speedup_cold);
+  out.Set("speedup_warm_vs_parse", speedup_warm);
   out.Set("mmap_v3_first_query_ms", mmap_v3_first_query_ms);
   out.Set("bundle_first_query_ms", bundle_first_query_ms);
   out.Set("answers_match", answers_match);

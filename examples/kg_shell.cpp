@@ -28,13 +28,13 @@
 //   stats              store, cache, and admission statistics
 //   help / quit
 //
-// Load path: `save` writes the store in format v2 ("SQPSTOR2", see
-// docs/FORMATS.md) with the engine's warmed statistics snapshot embedded;
-// `load` goes through Engine::OpenFromPath, which memory-maps v2 files —
-// a zero-copy open with no per-triple parsing — and parses legacy v1
-// files. The statistics snapshot pre-seeds the new engine's catalog, so
-// plans right after `load` match the session that saved the store.
-// `stats` shows which backend (mapped or parsed) is serving.
+// Load path: `save` writes a SQPSTOR3 store file (see docs/FORMATS.md)
+// with the engine's warmed statistics snapshot embedded; `load` goes
+// through Engine::OpenFromPath, which memory-maps the file — a zero-copy
+// open with no per-triple parsing. The statistics snapshot pre-seeds the
+// new engine's catalog, so plans right after `load` match the session
+// that saved the store. `stats` shows which backend (mapped or parsed) is
+// serving.
 
 #include <cctype>
 #include <cstdio>
@@ -456,8 +456,8 @@ class Shell {
       std::printf("usage: save <prefix>\n");
       return;
     }
-    // v2 store file with whatever statistics this session has warmed —
-    // the next `load` starts with the same catalog without recomputing.
+    // Store file with whatever statistics this session has warmed — the
+    // next `load` starts with the same catalog without recomputing.
     SaveStoreOptions options;
     options.stats = engine().catalog().Snapshot();
     options.stats_head_fraction = engine().catalog().head_fraction();
@@ -477,10 +477,9 @@ class Shell {
       return;
     }
     // Swap the rules in first (the engine keeps a pointer to them), then
-    // open the store: mmap fast path for v2 files, parse for v1. Shell
-    // users load arbitrary files, so pay for the full verification pass
-    // (checksums + invariants on every section) instead of trusting the
-    // bulk bytes.
+    // map the store. Shell users load arbitrary files, so pay for the
+    // full verification pass (checksums + invariants on every section)
+    // instead of trusting the bulk bytes.
     auto swapped = std::make_unique<RelaxationIndex>(std::move(rules).value());
     EngineOptions options;
     options.mmap_verify_all = true;

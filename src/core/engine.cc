@@ -119,11 +119,8 @@ Result<Engine::Opened> Engine::OpenFromPath(const std::string& store_path,
     opened.engine = std::make_unique<Engine>(&opened.store(), rules, options);
     return opened;
   }
-  SPECQP_ASSIGN_OR_RETURN(const uint32_t version,
-                          PeekStoreVersion(store_path));
   Opened opened;
-  if (options.mmap &&
-      (version == v2::kFormatVersion || version == v3::kFormatVersion)) {
+  if (options.mmap) {
     MmapStore::Options open_options;
     if (options.mmap_verify_all) {
       open_options.verify = MmapStore::Verify::kEager;

@@ -101,17 +101,17 @@ struct EngineOptions {
   // records per kind.
   std::string calibration_path;
   size_t calibration_log_capacity = 4096;
-  // Engine::OpenFromPath only: memory-map v2/v3 store files (zero-copy
-  // MmapStore view, O(ms) open) instead of parsing them into an owned
-  // store. v1 files always parse. Answers are identical either way; only
-  // open latency and memory residency change.
+  // Engine::OpenFromPath only: memory-map the store file (zero-copy
+  // MmapStore view, O(ms) open) instead of loading it into an owned store
+  // through LoadStore. Answers are identical either way; only open
+  // latency and memory residency change.
   bool mmap = true;
   // Engine::OpenFromPath only: fully verify every section of a mapped
   // store (checksums + value ranges + ordering invariants) before
   // serving, instead of the default — eager metadata sections, lazy
   // O(triples) bulk sections. The default trusts the file's bulk bytes;
   // set this for stores from untrusted sources (costs one pass over the
-  // file, still far below a v1 parse).
+  // file, still far below a LoadStore).
   bool mmap_verify_all = false;
 
   // --- fault tolerance (docs/ARCHITECTURE.md "Failure model") --------------
@@ -188,9 +188,9 @@ class Engine {
   // internal pointers stay valid because the store lives behind a
   // unique_ptr either way.
   struct Opened {
-    std::unique_ptr<MmapStore> mapped;      // v2 / v3 mmap fast path
+    std::unique_ptr<MmapStore> mapped;      // mmap fast path
     std::unique_ptr<ShardedStore> sharded;  // SQPBNDL1 bundle facade
-    std::unique_ptr<TripleStore> parsed;    // v1 / parse fallback
+    std::unique_ptr<TripleStore> parsed;    // LoadStore (mmap = false)
     std::unique_ptr<Engine> engine;
 
     const TripleStore& store() const {
@@ -206,16 +206,16 @@ class Engine {
     }
   };
 
-  // Open-from-path fast path: loads `store_path` (v1, v2, v3, or a
-  // sharded SQPBNDL1 bundle directory/manifest; see docs/FORMATS.md) and
-  // builds an engine over it. With options.mmap, v2
-  // and v3 files are memory-mapped — the open does no per-triple parsing,
-  // its small metadata sections are CRC-verified eagerly, the bulk
-  // sections lazily; a v3 file additionally serves its per-predicate
-  // posting lists as zero-copy block directories — and the engine's
-  // statistics catalog is pre-seeded from the file's snapshot when its
-  // head_fraction matches the options. `rules` stays caller-owned and must
-  // outlive the returned bundle.
+  // Open-from-path fast path: loads `store_path` (a SQPSTOR3 store file or
+  // a sharded SQPBNDL1 bundle directory/manifest; see docs/FORMATS.md) and
+  // builds an engine over it. With options.mmap, a store file is
+  // memory-mapped — the open does no per-triple parsing, its small
+  // metadata sections are CRC-verified eagerly, the bulk sections lazily,
+  // and its per-predicate posting lists are served as zero-copy block
+  // directories — and the engine's statistics catalog is pre-seeded from
+  // the file's snapshot when its head_fraction matches the options.
+  // Without it, the file goes through LoadStore. `rules` stays
+  // caller-owned and must outlive the returned bundle.
   [[nodiscard]] static Result<Opened> OpenFromPath(const std::string& store_path,
                                      const RelaxationIndex* rules,
                                      const EngineOptions& options = {});

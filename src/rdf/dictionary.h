@@ -23,7 +23,7 @@ namespace specqp {
 //    never moves existing elements). Intern() of unseen terms is allowed.
 //
 //  * View (FromView): a frozen, zero-copy dictionary over a mapped
-//    SQPSTOR2 file (docs/FORMATS.md). Name() slices the mapped blob with
+//    SQPSTOR3 file (docs/FORMATS.md). Name() slices the mapped blob with
 //    no allocation; Find() binary-searches the file's lexicographic term
 //    permutation, so opening costs O(1) — no reverse-index build, no
 //    string copies. Intern() of a term that is already present returns

@@ -16,21 +16,19 @@
 
 namespace specqp {
 
-// Zero-copy reader for store formats v2 ("SQPSTOR2") and v3 ("SQPSTOR3")
-// (docs/FORMATS.md).
+// Zero-copy reader for store format v3 ("SQPSTOR3", docs/FORMATS.md).
 //
 // Open() memory-maps the file read-only, validates the header and section
 // table structurally (magic, version, exact file size, section ids,
 // 8-byte alignment, gapless back-to-back layout, cross-section length
-// consistency; for v3 also the block-header geometry — gapless byte
-// ranges, full non-terminal blocks, per-list ceilings non-increasing),
-// and builds a read-only TripleStore view whose triple array, permutation
-// indexes, dictionary, and per-predicate posting lists are spans straight
-// into the mapping — no per-triple parsing, no index build, no string
-// copies. Open cost is O(sections + predicates) for v2 and O(sections +
-// blocks) for v3, independent of the number of triples. v3 posting lists
-// stay encoded in the mapping; BlockIterator decodes them block-by-block
-// on first touch.
+// consistency, and the block-header geometry — gapless byte ranges, full
+// non-terminal blocks, per-list ceilings non-increasing), and builds a
+// read-only TripleStore view whose triple array, permutation indexes,
+// dictionary, and per-predicate posting lists are spans straight into the
+// mapping — no per-triple parsing, no index build, no string copies. Open
+// cost is O(sections + blocks) plus one sequential fill of the
+// synthesised identity SPO view. Posting lists stay encoded in the
+// mapping; BlockIterator decodes them block-by-block on first touch.
 //
 // Section payload CRC-32C checks are *lazy* by default: Open trusts the
 // structural validation and defers checksums until VerifySection /
@@ -73,9 +71,6 @@ class MmapStore {
   // builds its merged view over shard 0's dictionary — re-make one here
   // instead of copying. Valid only while this MmapStore is alive.
   Dictionary NewDictionaryView() const;
-
-  // The file's format version (2 or 3).
-  uint32_t version() const { return version_; }
 
   // Total bytes of the mapping (the file size).
   size_t bytes_mapped() const { return map_size_; }
@@ -138,22 +133,17 @@ class MmapStore {
   int fault_token_ = -1;  // SIGBUS containment registry slot
   uint64_t triple_count_ = 0;
   uint64_t term_count_ = 0;
-  uint32_t version_ = 0;
 
   std::array<Section, v2::kMaxSections> sections_{};
   size_t section_count_ = 0;
   // 0 = unverified, 1 = CRC ok, 2 = CRC mismatch.
   std::array<std::atomic<uint8_t>, v2::kMaxSections> verified_{};
 
-  // v3 files omit the kSpoIndex section (it is always the identity
-  // permutation over the SPO-sorted triple array); the view synthesises
-  // it here at open. Empty for v2 files, which map theirs.
+  // The file stores no SPO permutation (it is always the identity over
+  // the SPO-sorted triple array); the view synthesises it here at open.
   std::vector<uint32_t> synthesised_spo_;
 
-  MappedPostingLists postings_{};
-  bool has_posting_directory_ = false;
   MappedBlockPostings block_postings_{};
-  bool has_block_directory_ = false;
   TripleStore store_;
 
   double stats_head_fraction_ = 0.0;

@@ -33,7 +33,7 @@ namespace specqp {
 //     non-negative, score ties cost one byte, and decoding reproduces
 //     every score bit-for-bit. This is the "quantisation onto the
 //     IEEE-754 grid": residuals are exact by construction, which is what
-//     keeps v3 answers bit-identical to v2.
+//     keeps block-compressed answers bit-identical to flat ones.
 //
 // Every decode path validates: exact byte consumption, header/content
 // agreement (max_score is the first entry's score, min_id/max_id are the

@@ -1,7 +1,6 @@
 #ifndef SPECQP_RDF_POSTING_ENTRY_H_
 #define SPECQP_RDF_POSTING_ENTRY_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace specqp {
@@ -9,17 +8,12 @@ namespace specqp {
 // One match of a triple pattern, carrying the pattern-normalised score of
 // Definition 5: S(t|q) = S(t) / max_{t' in matches(q)} S(t').
 //
-// Doubles as the on-disk record of the SQPSTOR2 posting-entries section
-// (docs/FORMATS.md), hence the layout asserts below; the writer zeroes
-// the 4 padding bytes. Format v3 stores the same logical records
-// block-compressed instead (rdf/posting_blocks.h).
+// On disk, posting lists store these records block-compressed
+// (rdf/posting_blocks.h, docs/FORMATS.md).
 struct PostingEntry {
   uint32_t triple_index = 0;  // into TripleStore::triples()
   double score = 0.0;         // normalised, in [0, 1]
 };
-static_assert(sizeof(PostingEntry) == 16 && alignof(PostingEntry) == 8 &&
-              offsetof(PostingEntry, triple_index) == 0 &&
-              offsetof(PostingEntry, score) == 8);
 
 }  // namespace specqp
 

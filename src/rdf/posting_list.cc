@@ -11,14 +11,6 @@
 
 namespace specqp {
 
-const v2::PostingDirEntry* MappedPostingLists::Find(TermId predicate) const {
-  auto it = std::lower_bound(
-      directory.begin(), directory.end(), predicate,
-      [](const v2::PostingDirEntry& e, TermId p) { return e.predicate < p; });
-  if (it == directory.end() || it->predicate != predicate) return nullptr;
-  return &*it;
-}
-
 const v3::BlockPostingDirEntry* MappedBlockPostings::Find(
     TermId predicate) const {
   auto it = std::lower_bound(directory.begin(), directory.end(), predicate,
@@ -27,14 +19,6 @@ const v3::BlockPostingDirEntry* MappedBlockPostings::Find(
                              });
   if (it == directory.end() || it->predicate != predicate) return nullptr;
   return &*it;
-}
-
-PostingList PostingList::View(std::span<const PostingEntry> mapped,
-                              double max_raw_score) {
-  PostingList list;
-  list.entries = mapped;
-  list.max_raw_score = max_raw_score;
-  return list;
 }
 
 PostingList PostingList::BlockView(std::span<const PostingBlockHeader> headers,
@@ -208,17 +192,8 @@ void BlockIterator::SkipAll() {
 
 PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
   // Mapped-store fast path: pure predicate patterns come straight from the
-  // file's posting directory, zero-copy and pre-sorted.
-  if (const MappedPostingLists* mapped = store.mapped_postings();
-      mapped != nullptr && !key.s_bound() && key.p_bound() && !key.o_bound()) {
-    if (const v2::PostingDirEntry* dir = mapped->Find(key.p)) {
-      return PostingList::View(
-          mapped->entries.subspan(dir->entry_begin, dir->entry_count),
-          dir->max_raw_score);
-    }
-  }
-  // v3 fast path: same zero-copy idea, but the directory addresses block
-  // headers — nothing is decoded until an iterator asks.
+  // file's block directory, zero-copy and pre-sorted — nothing is decoded
+  // until an iterator asks.
   if (const MappedBlockPostings* blocked = store.mapped_block_postings();
       blocked != nullptr && !key.s_bound() && key.p_bound() && !key.o_bound()) {
     if (const v3::BlockPostingDirEntry* dir = blocked->Find(key.p)) {
@@ -231,7 +206,7 @@ PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
 
   PostingList list;
   const auto indices = store.MatchIndices(key);
-  list.owned.reserve(indices.size());
+  list.entries.reserve(indices.size());
   double max_raw = 0.0;
   for (uint32_t idx : indices) {
     max_raw = std::max(max_raw, store.triple(idx).score);
@@ -240,39 +215,36 @@ PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
   for (uint32_t idx : indices) {
     const double raw = store.triple(idx).score;
     const double norm = max_raw > 0.0 ? raw / max_raw : 0.0;
-    list.owned.push_back(PostingEntry{idx, norm});
+    list.entries.push_back(PostingEntry{idx, norm});
   }
-  std::sort(list.owned.begin(), list.owned.end(),
+  std::sort(list.entries.begin(), list.entries.end(),
             [](const PostingEntry& a, const PostingEntry& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.triple_index < b.triple_index;
             });
-  // On a block-backed (v3) store, scan-built bound lists are re-encoded
-  // into blocks as well: the cache then holds the compact payload and
-  // decodes on demand, and header-guided skipping (plus the
-  // blocks_decoded/blocks_skipped accounting) covers every list the store
-  // serves, not just the pure-predicate directory views. The codec is
-  // lossless, so iterators observe entries bit-identical to the flat
-  // build. Sharded facades over v3 shards take the same branch — they
-  // have no mapped directory of their own, but their lists should stay
-  // block-shaped so skipping behaves identically across backends.
-  if ((store.mapped_block_postings() != nullptr ||
-       store.sharded_block_postings()) &&
-      !list.owned.empty()) {
+  // On a file-backed store (a mapped view or a bundle facade), scan-built
+  // bound lists are re-encoded into blocks as well: the cache then holds
+  // the compact payload and decodes on demand, and header-guided skipping
+  // (plus the blocks_decoded/blocks_skipped accounting) covers every list
+  // the store serves, not just the pure-predicate directory views. A
+  // bundle facade has no mapped directory of its own, but its lists stay
+  // block-shaped so skipping behaves identically across backends. The
+  // codec is lossless, so iterators observe entries bit-identical to the
+  // flat build.
+  if ((store.is_view() || store.is_sharded()) && !list.entries.empty()) {
     EncodedPostingBlocks encoded =
-        EncodePostingBlocks(list.owned.data(), list.owned.size());
-    const size_t count = list.owned.size();
+        EncodePostingBlocks(list.entries.data(), list.entries.size());
+    const size_t count = list.entries.size();
     return PostingList::FromBlocks(std::move(encoded.headers),
                                    std::move(encoded.payload), count, max_raw,
                                    static_cast<uint32_t>(store.size()));
   }
-  list.Seal();
   return list;
 }
 
 size_t PostingListCache::ApproxBytes(const PostingList& list) {
   size_t bytes =
-      sizeof(PostingList) + list.owned.capacity() * sizeof(PostingEntry);
+      sizeof(PostingList) + list.entries.capacity() * sizeof(PostingEntry);
   if (list.blocks != nullptr) {
     // A blocked list's footprint is dominated by whatever its iterators
     // have decoded so far (mapped headers/payload are not heap bytes);

@@ -24,41 +24,22 @@ namespace specqp {
 // broken by triple index for determinism). This is the "sorted list of
 // matches" every operator in the paper consumes via sorted access.
 //
-// Three backends behind one read interface:
-//   * built lists own their entries in `owned` (with `entries` aliasing
-//     it — call Seal() after filling);
-//   * lists opened from a mapped SQPSTOR2 (v2) store point `entries`
-//     straight at the mapped posting-entries section;
-//   * lists opened from a mapped SQPSTOR3 (v3) store carry a
-//     PostingBlockSource in `blocks` and have an EMPTY `entries` span —
-//     their entries exist only block-by-block, decoded on demand.
+// Two backends behind one read interface:
+//   * flat lists hold their entries in `entries` (lists built over an
+//     in-memory store, partition pieces, shared-scan derivations);
+//   * block-compressed lists carry a PostingBlockSource in `blocks` and
+//     have an EMPTY `entries` — their entries exist only block-by-block,
+//     decoded on demand (lists served by a mapped store or a bundle).
 //
-// BlockIterator (below) is the canonical access path and reads all three
+// BlockIterator (below) is the canonical access path and reads both
 // uniformly; code that touches `entries` directly must first check
-// !blocked() (flat-only consumers assert this). Copying is deleted because
-// a copy's span would alias the source's buffer; moves are safe (vector
-// moves keep the heap buffer, mapped memory is position-stable).
+// !blocked() (flat-only consumers assert this).
 struct PostingList {
-  std::vector<PostingEntry> owned;
-  std::span<const PostingEntry> entries;
+  std::vector<PostingEntry> entries;
   std::unique_ptr<PostingBlockSource> blocks;  // block backend, or null
   double max_raw_score = 0.0;  // the Definition 5 normaliser
 
-  PostingList() = default;
-  PostingList(PostingList&&) noexcept = default;
-  PostingList& operator=(PostingList&&) noexcept = default;
-  PostingList(const PostingList&) = delete;
-  PostingList& operator=(const PostingList&) = delete;
-
-  // Points `entries` at `owned`; call once `owned` is fully built.
-  void Seal() { entries = owned; }
-
-  // A zero-copy list over mapped memory (the caller keeps the mapping
-  // alive; MmapStore guarantees this for cache-held lists).
-  static PostingList View(std::span<const PostingEntry> mapped,
-                          double max_raw_score);
-
-  // A zero-copy block-compressed list over a mapped v3 store's header and
+  // A zero-copy block-compressed list over a mapped store's header and
   // payload sections (the caller keeps the mapping alive). `id_limit`
   // bounds decoded triple indexes (pass the store's triple count).
   static PostingList BlockView(std::span<const PostingBlockHeader> headers,
@@ -66,7 +47,7 @@ struct PostingList {
                                uint64_t entry_count, double max_raw_score,
                                uint32_t id_limit);
 
-  // An owning block-compressed list (in-memory stores, tests).
+  // An owning block-compressed list (re-encoded scan results, tests).
   static PostingList FromBlocks(std::vector<PostingBlockHeader> headers,
                                 std::vector<uint8_t> payload,
                                 uint64_t entry_count, double max_raw_score,
@@ -180,9 +161,8 @@ class BlockIterator {
 // Builds a posting list for `key` by scanning the store's match range,
 // sorting by score, and normalising. Standalone helper used by the cache
 // and by tests. When the store is a mapped view and `key` is a pure
-// predicate pattern (?s <p> ?o), returns a zero-copy list over the file's
-// posting directory instead of building: a flat span for v2 stores, a
-// block-compressed BlockView for v3 stores.
+// predicate pattern (?s <p> ?o), returns a zero-copy BlockView over the
+// file's posting directory instead of building.
 [[nodiscard]] PostingList BuildPostingList(const TripleStore& store,
                                            const PatternKey& key);
 

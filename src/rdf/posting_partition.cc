@@ -32,13 +32,12 @@ std::vector<std::shared_ptr<const PostingList>> PartitionPostingList(
     const PostingEntry& entry = it.Entry();
     const Triple& t = store.triple(entry.triple_index);
     const TermId term = slot == 0 ? t.s : (slot == 1 ? t.p : t.o);
-    pieces[PostingPartitionOf(term, num_partitions)].owned.push_back(entry);
+    pieces[PostingPartitionOf(term, num_partitions)].entries.push_back(entry);
   }
 
   std::vector<std::shared_ptr<const PostingList>> out;
   out.reserve(num_partitions);
   for (PostingList& piece : pieces) {
-    piece.Seal();
     out.push_back(std::make_shared<const PostingList>(std::move(piece)));
   }
   return out;

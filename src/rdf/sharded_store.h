@@ -21,7 +21,7 @@ namespace specqp {
 class ThreadPool;  // util/thread_pool.h
 
 // Sharded store bundles ("SQPBNDL1", docs/FORMATS.md): one manifest plus
-// N self-contained SQPSTOR2/3 shard files, hash-partitioned on subject or
+// N self-contained SQPSTOR3 shard files, hash-partitioned on subject or
 // predicate. The reader side is ShardedStore below; the writer side is
 // WriteShardBundle (split an existing finalized store) and
 // WriteBundleManifest (seal a directory of shard files written by any
@@ -56,9 +56,6 @@ bool IsBundlePath(const std::string& path);
 struct ShardBundleOptions {
   uint32_t shard_count = 2;
   bundle::HashScheme scheme = bundle::HashScheme::kSubject;
-  // Per-shard store file format: 3 (block postings, default) or 2.
-  uint32_t format_version = 3;
-  bool posting_directory = true;
   // Shard files are built and written concurrently when a pool is given
   // (one task per shard); null builds them sequentially.
   ThreadPool* pool = nullptr;
@@ -72,13 +69,12 @@ struct ShardBundleOptions {
                         const ShardBundleOptions& options = {});
 
 // Seals a bundle directory: reads back the header + section table of every
-// shard_<id>.sqps (0 <= id < shard_count), checks they agree on format
-// version and dictionary, and writes manifest.sqpb with their sizes,
-// triple counts, and digests. Writers that stream shards to disk call
-// this once after the last shard lands.
+// shard_<id>.sqps (0 <= id < shard_count), checks each is a store file of
+// the current format and that they agree on the dictionary, and writes
+// manifest.sqpb with their sizes, triple counts, and digests. Writers
+// that stream shards to disk call this once after the last shard lands.
 [[nodiscard]] Status WriteBundleManifest(const std::string& dir, uint32_t shard_count,
-                           bundle::HashScheme scheme,
-                           uint32_t format_version);
+                           bundle::HashScheme scheme);
 
 // N cooperating MmapStores behind one TripleStore facade.
 //
@@ -170,7 +166,6 @@ class ShardedStore : public ShardedTripleSource {
   // mapping behind it.
   const MmapStore& shard(size_t i) const { return *shards_[i]; }
   bundle::HashScheme scheme() const { return scheme_; }
-  uint32_t store_format() const { return store_format_; }
 
   // --- failure surface ------------------------------------------------------
 
@@ -221,9 +216,6 @@ class ShardedStore : public ShardedTripleSource {
   size_t NumTriples() const override { return loc_shard_.size(); }
   const Triple& TripleAt(uint32_t global_index) const override;
   std::span<const uint32_t> Match(const PatternKey& key) const override;
-  bool blocked_postings() const override {
-    return store_format_ == v3::kFormatVersion;
-  }
 
  private:
   ShardedStore() = default;
@@ -240,7 +232,6 @@ class ShardedStore : public ShardedTripleSource {
   // global order; no mapping behind the slot).
   std::vector<std::unique_ptr<MmapStore>> shards_;
   bundle::HashScheme scheme_ = bundle::HashScheme::kSubject;
-  uint32_t store_format_ = 0;
 
   // Locators: global index -> (shard, local index) and back.
   std::vector<uint16_t> loc_shard_;

@@ -22,24 +22,23 @@ double BuildCost(size_t n) {
                      (std::log2(static_cast<double>(n) + 1.0) + 1.0);
 }
 
-// Staged bucket -> final posting list: `owned` holds {triple_index, RAW
+// Staged bucket -> final posting list: `entries` holds {triple_index, RAW
 // score}; normalise and sort exactly like BuildPostingList so the result
 // is bit-identical to a direct build.
 void FinalizeRawBucket(PostingList* list) {
   double max_raw = 0.0;
-  for (const PostingEntry& e : list->owned) {
+  for (const PostingEntry& e : list->entries) {
     max_raw = std::max(max_raw, e.score);
   }
   list->max_raw_score = max_raw;
-  for (PostingEntry& e : list->owned) {
+  for (PostingEntry& e : list->entries) {
     e.score = max_raw > 0.0 ? e.score / max_raw : 0.0;
   }
-  std::sort(list->owned.begin(), list->owned.end(),
+  std::sort(list->entries.begin(), list->entries.end(),
             [](const PostingEntry& a, const PostingEntry& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.triple_index < b.triple_index;
             });
-  list->Seal();
 }
 
 }  // namespace
@@ -58,7 +57,7 @@ PostingList SharedScanCache::DeriveObjectList(const TripleStore& store,
     const PostingEntry& e = it.Entry();
     const Triple& t = store.triple(e.triple_index);
     if (t.o != object) continue;
-    list.owned.push_back(PostingEntry{e.triple_index, t.score});  // raw
+    list.entries.push_back(PostingEntry{e.triple_index, t.score});  // raw
   }
   FinalizeRawBucket(&list);
   return list;
@@ -94,7 +93,8 @@ void SharedScanCache::DeriveGroup(TermId p,
     const Triple& t = store_->triple(e.triple_index);
     const auto it = bucket_of.find(t.o);
     if (it == bucket_of.end()) continue;
-    buckets[it->second].owned.push_back(PostingEntry{e.triple_index, t.score});
+    buckets[it->second].entries.push_back(
+        PostingEntry{e.triple_index, t.score});
   }
 
   for (size_t i = 0; i < objects.size(); ++i) {
@@ -156,11 +156,9 @@ void SharedScanCache::Prepare(std::span<const PatternKey> keys) {
             BuildCost(store_->CountMatches(PatternKey{kInvalidTermId, p, o}));
       }
       const size_t base_count = store_->CountMatches(base_key);
-      const MappedPostingLists* mapped = store_->mapped_postings();
-      const MappedBlockPostings* blocked = store_->mapped_block_postings();
+      const MappedBlockPostings* mapped = store_->mapped_block_postings();
       const bool base_free =
           (mapped != nullptr && mapped->Find(p) != nullptr) ||
-          (blocked != nullptr && blocked->Find(p) != nullptr) ||
           base_->Peek(base_key) != nullptr;
       double derive_cost = static_cast<double>(base_count);
       for (TermId o : objects) {

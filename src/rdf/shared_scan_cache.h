@@ -32,8 +32,8 @@ namespace specqp {
 // entry set, same normalisation arithmetic, same sort order — see
 // DeriveObjectList), so execution over them returns bit-identical answers;
 // they are also published back into the underlying PostingListCache so
-// later sequential queries reuse them. With a mapped v2 store the base
-// list is a zero-copy view, making the derivation pass the only cost.
+// later sequential queries reuse them. With a mapped store the base list
+// is a zero-copy block view, making the derivation pass the only cost.
 //
 // Thread-safety: Prepare runs single-threaded (the batch prepare phase);
 // Get is safe to call from concurrent per-query execution tasks.

@@ -10,16 +10,15 @@
 
 namespace specqp {
 
-struct PostingEntry;  // rdf/posting_list.h
-
-// On-disk layout of store format v2 ("SQPSTOR2").
+// On-disk layout of store format v3 ("SQPSTOR3"), the only store file
+// format.
 //
 // The normative byte-level specification lives in docs/FORMATS.md; this
 // header defines the record structs shared by the writer (rdf/store_io.cc)
 // and the zero-copy reader (rdf/mmap_store.cc), and the static_asserts
 // that make casting mapped bytes to these structs legal on this target.
 //
-// Layout discipline (docs/FORMATS.md §SQPSTOR2):
+// Layout discipline (docs/FORMATS.md §SQPSTOR3):
 //   * little-endian, asserted at build time;
 //   * every section payload starts at an 8-byte-aligned offset and its
 //     stored length is padded up to a multiple of 8 with zero bytes that
@@ -28,29 +27,36 @@ struct PostingEntry;  // rdf/posting_list.h
 //     entry[i].offset == end of entry[i-1] and the last section ends at
 //     header.file_size;
 //   * all struct padding bytes are written as zero.
+//
+// Posting lists are block-compressed (rdf/posting_blocks.h):
+//
+//   * kPostingDir holds BlockPostingDirEntry rows (one per predicate)
+//     addressing a contiguous run of block headers;
+//   * kPostingBlockIndex is a flat PostingBlockHeader array for all
+//     predicates, in directory order;
+//   * kPostingBlocks is the concatenated delta-encoded block payload
+//     (padded to 8 bytes like every section).
 namespace v2 {
 
-inline constexpr char kMagic[8] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R', '2'};
-inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr uint64_t kSectionAlignment = 8;
 
 // Hard cap on section_count: structural sanity, not a format limit we
-// expect to approach (v2 defines ten section kinds).
+// expect to approach (the format defines ten section kinds).
 inline constexpr uint32_t kMaxSections = 64;
 
+// Ids 5 and 9 are retired (a stored identity SPO permutation and flat
+// posting entries, written by the retired SQPSTOR2 layout); readers
+// reject them like any other unknown id.
 enum class SectionId : uint32_t {
-  kDictOffsets = 1,     // u64[term_count + 1], byte offsets into kDictBlob
-  kDictBlob = 2,        // concatenated term bytes
-  kDictSorted = 3,      // u32[term_count], term ids in lexicographic order
-  kTriples = 4,         // TripleRecord[triple_count], SPO order
-  kSpoIndex = 5,        // u32[triple_count] (identity permutation)
-  kPosIndex = 6,        // u32[triple_count]
-  kOspIndex = 7,        // u32[triple_count]
-  kPostingDir = 8,      // u64 count, then PostingDirEntry[count], by predicate
-  kPostingEntries = 9,  // PostingEntryRecord[*], referenced by kPostingDir
-  kStats = 10,          // f64 head_fraction, u64 count, StatsEntry[count]
-  // v3-only sections (rejected by a v2 reader, which predates them):
-  kPostingBlockIndex = 11,  // PostingBlockHeader[*], referenced by v3 dir
+  kDictOffsets = 1,         // u64[term_count + 1], byte offsets into kDictBlob
+  kDictBlob = 2,            // concatenated term bytes
+  kDictSorted = 3,          // u32[term_count], term ids in lexicographic order
+  kTriples = 4,             // TripleRecord[triple_count], SPO order
+  kPosIndex = 6,            // u32[triple_count]
+  kOspIndex = 7,            // u32[triple_count]
+  kPostingDir = 8,          // u64 count, then BlockPostingDirEntry[count]
+  kStats = 10,              // f64 head_fraction, u64 count, StatsEntry[count]
+  kPostingBlockIndex = 11,  // PostingBlockHeader[*], referenced by kPostingDir
   kPostingBlocks = 12,      // delta-encoded block payload bytes
 };
 
@@ -78,18 +84,6 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 32);
 
-// kPostingDir row: the posting list of pattern (?s <predicate> ?o), stored
-// as entries [entry_begin, entry_begin + entry_count) of kPostingEntries,
-// descending by (normalised score, -triple_index).
-struct PostingDirEntry {
-  uint32_t predicate;
-  uint32_t reserved;  // zero
-  uint64_t entry_begin;
-  uint64_t entry_count;
-  double max_raw_score;
-};
-static_assert(sizeof(PostingDirEntry) == 32);
-
 // kStats row: one memoised stats::PatternStats under the snapshot's
 // head_fraction, keyed by PatternKey (kInvalidTermId in free slots).
 struct StatsEntry {
@@ -104,11 +98,11 @@ struct StatsEntry {
 };
 static_assert(sizeof(StatsEntry) == 48);
 
-// The in-memory Triple and PostingEntry structs double as the on-disk
-// records, so mapped sections can be used through std::span with no
-// per-record decoding. The writer zeroes their padding bytes.
+// The in-memory Triple struct doubles as the on-disk record, so the
+// mapped triple section can be used through std::span with no
+// per-record decoding. The writer zeroes its padding bytes.
 static_assert(std::endian::native == std::endian::little,
-              "store format v2 is little-endian");
+              "the store format is little-endian");
 static_assert(sizeof(Triple) == 24 && alignof(Triple) == 8 &&
               offsetof(Triple, s) == 0 && offsetof(Triple, p) == 4 &&
               offsetof(Triple, o) == 8 && offsetof(Triple, score) == 16);
@@ -120,28 +114,12 @@ inline uint64_t AlignUp(uint64_t n) {
 
 }  // namespace v2
 
-// On-disk layout of store format v3 ("SQPSTOR3").
-//
-// v3 keeps v2's envelope byte for byte — FileHeader, SectionEntry, the
-// alignment/gapless/CRC discipline, and every section other than the
-// posting lists — and replaces the flat kPostingEntries section with
-// block-compressed postings (rdf/posting_blocks.h):
-//
-//   * kPostingDir holds BlockPostingDirEntry rows (one per predicate)
-//     addressing a contiguous run of block headers;
-//   * kPostingBlockIndex is a flat PostingBlockHeader array for all
-//     predicates, in directory order;
-//   * kPostingBlocks is the concatenated delta-encoded block payload
-//     (padded to 8 bytes like every section).
-//
-// kPostingEntries (9) must not appear in a v3 file, and sections 11/12
-// must not appear in a v2 file.
 namespace v3 {
 
 inline constexpr char kMagic[8] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R', '3'};
 inline constexpr uint32_t kFormatVersion = 3;
 
-// v3 kPostingDir row: the posting list of (?s <predicate> ?o), stored as
+// kPostingDir row: the posting list of (?s <predicate> ?o), stored as
 // blocks [block_begin, block_begin + block_count) of kPostingBlockIndex,
 // holding entry_count entries in total, descending by
 // (normalised score, -triple_index) across block boundaries.
@@ -161,7 +139,7 @@ static_assert(sizeof(BlockPostingDirEntry) == 40);
 //
 // A bundle is a directory holding one manifest file (kManifestFileName)
 // plus shard_count complete, self-contained store files named
-// shard_0000.sqps, shard_0001.sqps, ... — each an ordinary SQPSTOR2/3
+// shard_0000.sqps, shard_0001.sqps, ... — each an ordinary SQPSTOR3
 // file carrying the FULL dictionary (identical intern order in every
 // shard, enforced via the dictionary section CRCs) and the hash-assigned
 // subset of the triples, locally SPO-sorted with its own permutation
@@ -201,7 +179,7 @@ struct ManifestHeader {
   uint32_t version;        // kFormatVersion
   uint32_t shard_count;    // in [1, kMaxShards]
   uint32_t hash_scheme;    // HashScheme
-  uint32_t store_format;   // per-shard file format: 2 or 3
+  uint32_t store_format;   // per-shard file format: 3
   uint64_t total_triples;  // sum of the shard triple counts
   uint64_t term_count;     // shared dictionary size (identical per shard)
 };
@@ -218,18 +196,6 @@ struct ManifestShardEntry {
 static_assert(sizeof(ManifestShardEntry) == 32);
 
 }  // namespace bundle
-
-// Zero-copy posting directory decoded from a mapped v2 file: hands out
-// PostingList views over the mapped kPostingEntries section so opening a
-// predicate's posting list does no per-entry work. Owned by MmapStore and
-// surfaced through TripleStore::mapped_postings().
-struct MappedPostingLists {
-  std::span<const v2::PostingDirEntry> directory;  // ascending by predicate
-  std::span<const PostingEntry> entries;           // kPostingEntries payload
-
-  // The directory row for `predicate`, or nullptr when absent.
-  const v2::PostingDirEntry* Find(TermId predicate) const;
-};
 
 struct PostingBlockHeader;  // rdf/posting_blocks.h
 

@@ -75,12 +75,10 @@ TripleStore TripleStore::FromView(Dictionary dict,
                                   std::span<const uint32_t> spo,
                                   std::span<const uint32_t> pos,
                                   std::span<const uint32_t> osp,
-                                  const MappedPostingLists* postings,
                                   const MappedBlockPostings* block_postings) {
   SPECQP_CHECK(spo.size() == triples.size() && pos.size() == triples.size() &&
                osp.size() == triples.size());
-  SPECQP_CHECK(postings == nullptr || block_postings == nullptr)
-      << "a store has either a flat or a block posting directory";
+  SPECQP_CHECK(block_postings != nullptr);
   TripleStore store;
   store.dict_ = std::move(dict);
   store.view_ = true;
@@ -89,7 +87,6 @@ TripleStore TripleStore::FromView(Dictionary dict,
   store.spo_view_ = spo;
   store.pos_view_ = pos;
   store.osp_view_ = osp;
-  store.mapped_postings_ = postings;
   store.mapped_block_postings_ = block_postings;
   return store;
 }

@@ -15,7 +15,6 @@
 
 namespace specqp {
 
-struct MappedPostingLists;   // rdf/store_format.h
 struct MappedBlockPostings;  // rdf/store_format.h
 
 // Backend interface of a sharded (bundle-backed) TripleStore facade: the
@@ -40,10 +39,6 @@ class ShardedTripleSource {
   // MatchIndices uses (gathered from the shards' indexes and merged).
   // The span stays valid for the source's lifetime.
   virtual std::span<const uint32_t> Match(const PatternKey& key) const = 0;
-
-  // True when the shards serve block-compressed (v3) postings, so
-  // facade-built posting lists should be block-encoded too.
-  virtual bool blocked_postings() const = 0;
 
   // --- failure surface (rdf/mapped_fault.h, degraded reads) ---------------
   //
@@ -89,7 +84,7 @@ class ShardedTripleSource {
 // the maximum score.
 //
 // A second, read-only backend (FromView) serves the same query interface
-// zero-copy over a memory-mapped SQPSTOR2 file: the triple array and the
+// zero-copy over a memory-mapped SQPSTOR3 file: the triple array and the
 // three permutation indexes are spans into the mapping, so opening does no
 // per-triple parsing and no index build (see rdf/mmap_store.h and
 // docs/FORMATS.md). View stores are born finalized; Add/AddEncoded on
@@ -105,18 +100,15 @@ class TripleStore {
 
   // View-backed construction over mapped memory. `triples` must be in SPO
   // order, `spo`/`pos`/`osp` the matching permutations of its indices, and
-  // at most one of `postings` (v2 flat directory) / `block_postings` (v3
-  // block directory) non-null. The caller (MmapStore) owns the mapping and
-  // guarantees it outlives the store and that span bounds were validated
-  // against the file.
+  // `block_postings` the file's non-null block posting directory. The
+  // caller (MmapStore) owns the mapping and guarantees it outlives the
+  // store and that span bounds were validated against the file.
   static TripleStore FromView(Dictionary dict,
                               std::span<const Triple> triples,
                               std::span<const uint32_t> spo,
                               std::span<const uint32_t> pos,
                               std::span<const uint32_t> osp,
-                              const MappedPostingLists* postings,
-                              const MappedBlockPostings* block_postings =
-                                  nullptr);
+                              const MappedBlockPostings* block_postings);
 
   // Sharded-backend construction (rdf/sharded_store.h): every query
   // method delegates per-triple and per-pattern access to `source`,
@@ -158,14 +150,9 @@ class TripleStore {
     return view_ ? triples_view_ : std::span<const Triple>(triples_);
   }
 
-  // Non-null only on view stores opened from a v2 file with a posting
-  // directory: zero-copy per-predicate posting lists (consumed by
-  // BuildPostingList / the posting-list cache).
-  const MappedPostingLists* mapped_postings() const {
-    return mapped_postings_;
-  }
-  // v3 counterpart: zero-copy block-compressed posting lists. At most one
-  // of the two directories is non-null.
+  // Non-null exactly on view stores: zero-copy block-compressed
+  // per-predicate posting lists (consumed by BuildPostingList / the
+  // posting-list cache).
   const MappedBlockPostings* mapped_block_postings() const {
     return mapped_block_postings_;
   }
@@ -174,13 +161,6 @@ class TripleStore {
   // The sharded backend behind this facade (nullptr for monolithic
   // stores); the engine uses it to poll the failure surface above.
   const ShardedTripleSource* sharded_source() const { return sharded_; }
-  // True on sharded facades whose shards serve v3 block postings:
-  // BuildPostingList re-encodes facade-built lists into blocks so the
-  // block accounting (blocks_decoded/blocks_skipped) and header-guided
-  // skipping stay live on sharded backends too.
-  bool sharded_block_postings() const {
-    return sharded_ != nullptr && sharded_->blocked_postings();
-  }
 
   // Indices (into triples()) of all triples matching the key, in index
   // order. The returned span aliases internal storage.
@@ -236,7 +216,6 @@ class TripleStore {
   std::span<const uint32_t> spo_view_;
   std::span<const uint32_t> pos_view_;
   std::span<const uint32_t> osp_view_;
-  const MappedPostingLists* mapped_postings_ = nullptr;
   const MappedBlockPostings* mapped_block_postings_ = nullptr;
 
   // Sharded backend (bundle facades): non-owning; see FromShardedSource.

@@ -20,7 +20,7 @@ namespace specqp {
 // site that no longer exists — and the chaos harness can enumerate every
 // injection point without grepping.
 inline constexpr std::string_view kFaultSiteRegistry[] = {
-    "store.open",    // store_io.cc / mmap_store.cc: opening a store file
+    "store.open",    // mmap_store.cc: opening a store file
     "shard.open",    // sharded_store.cc: opening one shard of a bundle
     "shard.read",    // sharded_store.cc: per-shard scatter-gather read
     "block.decode",  // posting_blocks.cc: decoding one compressed block

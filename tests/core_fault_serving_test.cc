@@ -1,9 +1,9 @@
 // Engine-level fault-tolerant serving: strict vs degraded answers over a
 // bundle with quarantined shards, mid-query fault invalidation (kIoError,
-// then partial answers), block-decode fault surfacing on single-file
-// backends, admission-side overload shedding (queue depth and hopeless
-// deadlines), SubmitWithRetry semantics, and cancellation responsiveness
-// during sharded scatter-gather execution.
+// then partial answers), block-decode and store-open fault surfacing on
+// single-file backends, admission-side overload shedding (queue depth and
+// hopeless deadlines), SubmitWithRetry semantics, and cancellation
+// responsiveness during sharded scatter-gather execution.
 
 #include <chrono>
 #include <filesystem>
@@ -242,6 +242,44 @@ TEST_F(FaultServingTest, BlockDecodeFaultSurfacesAsIoErrorOnSingleFile) {
   for (size_t i = 0; i < expected.rows.size(); ++i) {
     EXPECT_EQ(recovered.rows[i].bindings, expected.rows[i].bindings);
     EXPECT_EQ(recovered.rows[i].score, expected.rows[i].score);
+  }
+}
+
+TEST_F(FaultServingTest, StoreOpenFaultFailsOneOpenAndProbesOncePerOpen) {
+  Fixture fx = MakeFixture("fsv_storeopen");
+  const std::string path = FreshDir("fsv_storeopen_single") + "/store.sqps";
+  ASSERT_TRUE(SaveStore(fx.store, path).ok());
+  EngineOptions base;
+  base.num_threads = 1;
+  Engine baseline(&fx.store, &fx.rules, base);
+  QueryResponse expected = SubmitImmediate(baseline, fx.queries[0]);
+  ASSERT_TRUE(expected.ok());
+
+  // Both open paths (mapped, and LoadStore for mmap = false) probe
+  // "store.open" exactly once per open, so a one-shot fault fails the
+  // first open only.
+  for (const bool mmap : {true, false}) {
+    ScopedFaultPlan plan("seed=1;store.open=1@1");
+    EngineOptions options;
+    options.num_threads = 1;
+    options.mmap = mmap;
+    auto failed = Engine::OpenFromPath(path, &fx.rules, options);
+    ASSERT_FALSE(failed.ok()) << "mmap=" << mmap;
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+        << failed.status().ToString();
+    auto opened = Engine::OpenFromPath(path, &fx.rules, options);
+    ASSERT_TRUE(opened.ok()) << "mmap=" << mmap << ": "
+                             << opened.status().ToString();
+    EXPECT_EQ(FaultInjector::Global().ProbeCount("store.open"), 2u)
+        << "mmap=" << mmap;
+
+    QueryResponse got = SubmitImmediate(*opened.value().engine, fx.queries[0]);
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    ASSERT_EQ(got.rows.size(), expected.rows.size()) << "mmap=" << mmap;
+    for (size_t i = 0; i < expected.rows.size(); ++i) {
+      EXPECT_EQ(got.rows[i].bindings, expected.rows[i].bindings);
+      EXPECT_EQ(got.rows[i].score, expected.rows[i].score);
+    }
   }
 }
 

@@ -3,10 +3,15 @@
 // parsed (owned store) engine over the same file must return bit-identical
 // top-k answers — bindings AND scores — for every query, strategy, k, and
 // thread count, and both must match an engine over the original in-memory
-// store.
+// store. Files in the retired v1 and v2 formats are rejected by every
+// reader with Status::Corruption.
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include "rdf/store_io.h"
 #include "stats/catalog.h"
 #include "test_util.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace specqp {
@@ -23,6 +29,18 @@ namespace {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& blob) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  ASSERT_TRUE(out.good()) << path;
 }
 
 void ExpectIdenticalRows(const std::vector<ScoredRow>& a,
@@ -157,18 +175,67 @@ TEST_F(MmapEngineTest, FullyVerifiedOpenServesIdenticalAnswers) {
   ExpectIdenticalRows(a.rows, b.rows, "verified mmap vs original");
 }
 
-TEST_F(MmapEngineTest, OpenFromPathReadsV1Files) {
-  const std::string v1_path = TempPath("mmap_engine.v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(*store_, v1_path).ok());
-  auto opened = Engine::OpenFromPath(v1_path, &rules_);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(opened.value().mmap_backed());  // v1 always parses
+// A file in the retired v1 stream layout: magic, version 1, then a
+// CRC-terminated dictionary section and a CRC-terminated triple section.
+std::string RetiredV1File(const TripleStore& store) {
+  const auto append = [](std::string* out, auto value) {
+    out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  std::string dict;
+  append(&dict, static_cast<uint32_t>(store.dict().size()));
+  for (TermId id = 0; id < store.dict().size(); ++id) {
+    const std::string_view name = store.dict().Name(id);
+    append(&dict, static_cast<uint32_t>(name.size()));
+    dict.append(name);
+  }
+  std::string triples;
+  append(&triples, static_cast<uint64_t>(store.size()));
+  for (const Triple& t : store.triples()) {
+    append(&triples, t.s);
+    append(&triples, t.p);
+    append(&triples, t.o);
+    append(&triples, t.score);
+  }
+  std::string file = "SQPSTOR1";
+  append(&file, uint32_t{1});
+  for (const std::string* section : {&dict, &triples}) {
+    file += *section;
+    append(&file, Crc32c(section->data(), section->size()));
+  }
+  return file;
+}
 
-  Engine original(store_.get(), &rules_);
-  const auto a =
-      testing::Execute(*opened.value().engine, queries_[0], 10, Strategy::kSpecQp);
-  const auto b = testing::Execute(original, queries_[0], 10, Strategy::kSpecQp);
-  ExpectIdenticalRows(a.rows, b.rows, "v1 vs original");
+TEST_F(MmapEngineTest, RetiredFormatsAreRejectedByEveryReader) {
+  const std::string v1_path = TempPath("retired.v1.sqp");
+  WriteFile(v1_path, RetiredV1File(*store_));
+  // A current file relabelled as v2: bytes [0, 12) are the magic and the
+  // u32 version.
+  std::string relabelled = ReadFile(path_);
+  const uint32_t v2_version = 2;
+  std::memcpy(relabelled.data(), "SQPSTOR2", 8);
+  std::memcpy(relabelled.data() + 8, &v2_version, 4);
+  const std::string v2_path = TempPath("retired.v2.sqp");
+  WriteFile(v2_path, relabelled);
+
+  MmapStore::Options eager;
+  eager.verify = MmapStore::Verify::kEager;
+  EngineOptions mmap_options;
+  mmap_options.mmap = true;
+  EngineOptions parsed_options;
+  parsed_options.mmap = false;
+  for (const std::string& path : {v1_path, v2_path}) {
+    const Status statuses[] = {
+        MmapStore::Open(path).status(),
+        MmapStore::Open(path, eager).status(),
+        LoadStore(path).status(),
+        Engine::OpenFromPath(path, &rules_, mmap_options).status(),
+        Engine::OpenFromPath(path, &rules_, parsed_options).status(),
+    };
+    for (size_t i = 0; i < std::size(statuses); ++i) {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kCorruption)
+          << path << " reader " << i << ": " << statuses[i].ToString();
+    }
+  }
 }
 
 }  // namespace

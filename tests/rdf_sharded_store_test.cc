@@ -1,10 +1,11 @@
 // Sharded store bundles (SQPBNDL1): round-trips through WriteShardBundle /
 // ShardedStore::Open, scatter-gather equivalence against the source store,
 // and a hostile-input battery — truncated or patched manifests, missing /
-// extra / duplicated / smuggled shard files, digest disagreements,
-// wrong-shard placements, cross-shard duplicates. Every hostile case must
-// come back as a structured Status::Corruption (or IoError for a missing
-// manifest), never a crash — these suites run under ASan/UBSan in CI.
+// extra / duplicated shard files, a retired store format, digest
+// disagreements, wrong-shard placements, cross-shard duplicates. Every
+// hostile case must come back as a structured Status::Corruption (or
+// IoError for a missing manifest), never a crash — these suites run under
+// ASan/UBSan in CI.
 
 #include <cstdint>
 #include <cstring>
@@ -90,18 +91,17 @@ void ExpectCorruption(const std::string& dir, const char* label,
 // ---------------------------------------------------------------------------
 
 class ShardedRoundTripTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t,
-                                                 bundle::HashScheme>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<uint32_t, bundle::HashScheme>> {};
 
 TEST_P(ShardedRoundTripTest, FacadeMatchesSourceStoreExactly) {
-  const auto [shard_count, format_version, scheme] = GetParam();
+  const auto [shard_count, scheme] = GetParam();
   const TripleStore store = MakeStore();
   const std::string dir = FreshDir("sharded_roundtrip");
 
   ShardBundleOptions options;
   options.shard_count = shard_count;
   options.scheme = scheme;
-  options.format_version = format_version;
   ASSERT_TRUE(WriteShardBundle(store, dir, options).ok());
   EXPECT_TRUE(IsBundlePath(dir));
   EXPECT_TRUE(IsBundlePath(dir + "/" + bundle::kManifestFileName));
@@ -111,7 +111,6 @@ TEST_P(ShardedRoundTripTest, FacadeMatchesSourceStoreExactly) {
   const ShardedStore& sharded = *opened.value();
   EXPECT_EQ(sharded.shard_count(), shard_count);
   EXPECT_EQ(sharded.scheme(), scheme);
-  EXPECT_EQ(sharded.store_format(), format_version);
   EXPECT_GT(sharded.bytes_mapped(), 0u);
 
   // The facade's global index space is the merged SPO order — identical
@@ -156,11 +155,10 @@ TEST_P(ShardedRoundTripTest, FacadeMatchesSourceStoreExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Bundles, ShardedRoundTripTest,
-    ::testing::Values(
-        std::make_tuple(2u, 3u, bundle::HashScheme::kSubject),
-        std::make_tuple(8u, 3u, bundle::HashScheme::kSubject),
-        std::make_tuple(3u, 3u, bundle::HashScheme::kPredicate),
-        std::make_tuple(4u, 2u, bundle::HashScheme::kSubject)));
+    ::testing::Values(std::make_tuple(2u, bundle::HashScheme::kSubject),
+                      std::make_tuple(8u, bundle::HashScheme::kSubject),
+                      std::make_tuple(3u, bundle::HashScheme::kPredicate),
+                      std::make_tuple(4u, bundle::HashScheme::kSubject)));
 
 TEST(ShardedStoreTest, EagerVerifyAcceptsWellFormedBundle) {
   const TripleStore store = MakeStore();
@@ -178,11 +176,8 @@ TEST(ShardedStoreTest, SaveStoreRejectsShardedFacade) {
   ASSERT_TRUE(WriteShardBundle(store, dir).ok());
   auto opened = ShardedStore::Open(dir);
   ASSERT_TRUE(opened.ok());
-  const Status v3 = SaveStore(opened.value()->store(), dir + "/resave.sqp");
-  EXPECT_EQ(v3.code(), StatusCode::kFailedPrecondition);
-  const Status v1 =
-      SaveStoreV1(opened.value()->store(), dir + "/resave.v1.sqp");
-  EXPECT_EQ(v1.code(), StatusCode::kFailedPrecondition);
+  const Status saved = SaveStore(opened.value()->store(), dir + "/resave.sqp");
+  EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedStoreTest, ShardCountersReportShape) {
@@ -328,23 +323,18 @@ TEST_F(HostileBundleTest, ManifestTotalTriplesMismatch) {
   ExpectCorruption(dir_, "patched total_triples");
 }
 
-TEST_F(HostileBundleTest, V2FileSmuggledIntoV3Bundle) {
-  // Rebuild the bundle as v2, then patch the manifest's store_format to 3
-  // and reseal: every digest matches its (v2) file, but the shard format
-  // disagrees with what the manifest claims to serve.
-  const std::string dir = FreshDir("sharded_hostile_smuggle");
-  ShardBundleOptions options;
-  options.shard_count = 2;
-  options.format_version = 2;
-  ASSERT_TRUE(WriteShardBundle(store_, dir, options).ok());
-  const uint32_t v3_format = 3;
-  std::fstream f(dir + "/" + bundle::kManifestFileName,
-                 std::ios::binary | std::ios::in | std::ios::out);
+TEST_F(HostileBundleTest, ManifestClaimsRetiredStoreFormat) {
+  // Patch the manifest's store_format to the retired v2 and reseal: every
+  // shard digest still matches, but the manifest names a format no
+  // reader serves.
+  const uint32_t retired_format = 2;
+  std::fstream f(manifest_, std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(20);  // store_format: magic 8 + version 4 + count 4 + scheme 4
-  f.write(reinterpret_cast<const char*>(&v3_format), sizeof(v3_format));
+  f.write(reinterpret_cast<const char*>(&retired_format),
+          sizeof(retired_format));
   f.close();
-  ResealManifest(dir);
-  ExpectCorruption(dir, "v2 shard behind a v3 manifest");
+  ResealManifest(dir_);
+  ExpectCorruption(dir_, "manifest store_format = 2");
 }
 
 TEST_F(HostileBundleTest, CrossShardDuplicateTriplesFailTheMerge) {
@@ -361,8 +351,7 @@ TEST_F(HostileBundleTest, CrossShardDuplicateTriplesFailTheMerge) {
   clone.Finalize();
   ASSERT_TRUE(SaveStore(clone, dir + "/" + BundleShardFileName(0)).ok());
   ASSERT_TRUE(SaveStore(clone, dir + "/" + BundleShardFileName(1)).ok());
-  ASSERT_TRUE(WriteBundleManifest(dir, 2, bundle::HashScheme::kSubject, 3)
-                  .ok());
+  ASSERT_TRUE(WriteBundleManifest(dir, 2, bundle::HashScheme::kSubject).ok());
   ExpectCorruption(dir, "duplicate triples across shards");
 }
 
@@ -390,8 +379,7 @@ TEST_F(HostileBundleTest, WrongShardPlacementRejectedByEagerVerify) {
                   dir + "/" + BundleShardFileName(static_cast<uint32_t>(i)))
             .ok());
   }
-  ASSERT_TRUE(WriteBundleManifest(dir, 2, bundle::HashScheme::kSubject, 3)
-                  .ok());
+  ASSERT_TRUE(WriteBundleManifest(dir, 2, bundle::HashScheme::kSubject).ok());
 
   // Lazy open: correct answers despite the misplacement.
   auto lazy = ShardedStore::Open(dir);

@@ -224,87 +224,6 @@ TEST(StoreIoTest, LoadedStoreAnswersQueries) {
   }
 }
 
-// --- v1 compatibility + migration ------------------------------------------
-
-TEST(StoreIoTest, V1RoundTripStillWorks) {
-  const TripleStore store = SmallStore();
-  const std::string path = TempPath("v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(store, path).ok());
-  auto version = PeekStoreVersion(path);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 1u);
-
-  auto loaded = LoadStore(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameStore(store, loaded.value());
-}
-
-TEST(StoreIoTest, V1ToV2MigrationRoundTrip) {
-  Rng rng(7);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 400;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-
-  const std::string v1_path = TempPath("migrate.v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(store, v1_path).ok());
-  auto from_v1 = LoadStore(v1_path);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-
-  const std::string v2_path = TempPath("migrate.v2.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(SaveStore(from_v1.value(), v2_path, v2_options).ok());
-  auto v2_version = PeekStoreVersion(v2_path);
-  ASSERT_TRUE(v2_version.ok());
-  EXPECT_EQ(v2_version.value(), 2u);
-
-  // Both the parsed and the mapped reader see the original store.
-  auto from_v2 = LoadStore(v2_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  ExpectSameStore(store, from_v2.value());
-
-  auto mapped = MmapStore::Open(v2_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameStore(store, mapped.value()->store());
-}
-
-TEST(StoreIoTest, V2ToV3MigrationRoundTrip) {
-  Rng rng(11);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 400;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-
-  const std::string v2_path = TempPath("migrate23.v2.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(SaveStore(store, v2_path, v2_options).ok());
-  auto from_v2 = LoadStore(v2_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-
-  const std::string v3_path = TempPath("migrate23.v3.sqp");
-  ASSERT_TRUE(SaveStore(from_v2.value(), v3_path).ok());  // v3 default
-  auto v3_version = PeekStoreVersion(v3_path);
-  ASSERT_TRUE(v3_version.ok());
-  EXPECT_EQ(v3_version.value(), 3u);
-
-  // Both the parsed and the mapped reader see the original store.
-  auto from_v3 = LoadStore(v3_path);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
-  ExpectSameStore(store, from_v3.value());
-
-  auto mapped = MmapStore::Open(v3_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameStore(store, mapped.value()->store());
-}
-
-TEST(StoreIoTest, MmapStoreRejectsV1Files) {
-  const std::string path = TempPath("v1_for_mmap.sqp");
-  ASSERT_TRUE(SaveStoreV1(SmallStore(), path).ok());
-  auto mapped = MmapStore::Open(path);
-  EXPECT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
-}
-
 // --- mapped (zero-copy) reads ----------------------------------------------
 
 TEST(StoreIoTest, MmapStoreServesQueries) {
@@ -348,52 +267,17 @@ TEST(StoreIoTest, MmapStoreServesQueries) {
   }
 }
 
-TEST(StoreIoTest, MmapStoreServesPostingListsZeroCopy) {
-  Rng rng(22);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 300;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-  const std::string path = TempPath("mmap_postings.sqp");
-  SaveStoreOptions flat_options;
-  flat_options.format_version = 2;  // flat entries are the zero-copy layout
-  ASSERT_TRUE(SaveStore(store, path, flat_options).ok());
-
-  auto mapped = MmapStore::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const TripleStore& view = mapped.value()->store();
-  ASSERT_NE(view.mapped_postings(), nullptr);
-
-  const TermId p = store.MustId("p0");
-  const PatternKey key{kInvalidTermId, p, kInvalidTermId};
-  const PostingList built = BuildPostingList(store, key);
-  const PostingList viewed = BuildPostingList(view, key);
-  EXPECT_TRUE(viewed.owned.empty()) << "expected a zero-copy view";
-  ASSERT_EQ(viewed.size(), built.size());
-  EXPECT_DOUBLE_EQ(viewed.max_raw_score, built.max_raw_score);
-  for (size_t i = 0; i < built.size(); ++i) {
-    EXPECT_EQ(viewed.entries[i].triple_index, built.entries[i].triple_index);
-    EXPECT_DOUBLE_EQ(viewed.entries[i].score, built.entries[i].score);
-  }
-
-  // Non-directory patterns fall back to the scan-and-sort builder.
-  const PatternKey bound{kInvalidTermId, p, store.MustId("o0")};
-  const PostingList fallback = BuildPostingList(view, bound);
-  EXPECT_EQ(fallback.owned.size(), fallback.entries.size());
-  EXPECT_EQ(fallback.size(), BuildPostingList(store, bound).size());
-}
-
 TEST(StoreIoTest, MmapStoreServesBlockPostingsZeroCopy) {
   Rng rng(26);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 600;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
   const std::string path = TempPath("mmap_blocks.sqp");
-  ASSERT_TRUE(SaveStore(store, path).ok());  // v3 is the default
+  ASSERT_TRUE(SaveStore(store, path).ok());
 
   auto mapped = MmapStore::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const TripleStore& view = mapped.value()->store();
-  EXPECT_EQ(view.mapped_postings(), nullptr);
   ASSERT_NE(view.mapped_block_postings(), nullptr);
 
   // A pure-predicate pattern opens as a block view over the mapped
@@ -403,7 +287,7 @@ TEST(StoreIoTest, MmapStoreServesBlockPostingsZeroCopy) {
   const PostingList built = BuildPostingList(store, key);
   const PostingList viewed = BuildPostingList(view, key);
   ASSERT_TRUE(viewed.blocked());
-  EXPECT_TRUE(viewed.owned.empty());
+  EXPECT_TRUE(viewed.entries.empty());
   EXPECT_EQ(viewed.blocks->owned_bytes(), 0u) << "expected a zero-copy view";
   ASSERT_EQ(viewed.size(), built.size());
   EXPECT_DOUBLE_EQ(viewed.max_raw_score, built.max_raw_score);
@@ -481,9 +365,9 @@ TEST(StoreIoTest, StatsSnapshotRoundTrip) {
   EXPECT_EQ(fresh_postings.misses(), 0u);
 }
 
-// --- v2 corruption paths ----------------------------------------------------
+// --- corruption paths -------------------------------------------------------
 
-TEST(StoreIoTest, V2RejectsTruncatedSectionTable) {
+TEST(StoreIoTest, StoreRejectsTruncatedSectionTable) {
   const std::string path = TempPath("v2_table.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
@@ -505,7 +389,7 @@ TEST(StoreIoTest, V2RejectsTruncatedSectionTable) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsFileSizeMismatch) {
+TEST(StoreIoTest, StoreRejectsFileSizeMismatch) {
   const std::string path = TempPath("v2_size.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
@@ -518,7 +402,7 @@ TEST(StoreIoTest, V2RejectsFileSizeMismatch) {
   }
 }
 
-TEST(StoreIoTest, V2RejectsBadSectionCrcLazilyAndEagerly) {
+TEST(StoreIoTest, StoreRejectsBadSectionCrcLazilyAndEagerly) {
   Rng rng(24);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 200;
@@ -550,7 +434,7 @@ TEST(StoreIoTest, V2RejectsBadSectionCrcLazilyAndEagerly) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsMisalignedSectionOffset) {
+TEST(StoreIoTest, StoreRejectsMisalignedSectionOffset) {
   const std::string path = TempPath("v2_align.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
@@ -595,7 +479,7 @@ void RepairSectionCrc(std::string* blob, v2::SectionId id) {
   std::memcpy(blob->data() + entry + 24, &crc, 4);
 }
 
-TEST(StoreIoTest, V2RejectsOverflowingDirectoryCount) {
+TEST(StoreIoTest, StoreRejectsOverflowingDirectoryCount) {
   const std::string path = TempPath("v2_count.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
@@ -616,7 +500,7 @@ TEST(StoreIoTest, V2RejectsOverflowingDirectoryCount) {
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsNonMonotonicDictOffsets) {
+TEST(StoreIoTest, StoreRejectsNonMonotonicDictOffsets) {
   const std::string path = TempPath("v2_mono.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
@@ -645,20 +529,18 @@ TEST(StoreIoTest, V2RejectsNonMonotonicDictOffsets) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsOutOfRangePermutationIndex) {
+TEST(StoreIoTest, StoreRejectsOutOfRangePermutationIndex) {
   const std::string path = TempPath("v2_perm.sqp");
-  SaveStoreOptions v2_options;  // this test byte-pokes the v2 SPO index,
-  v2_options.format_version = 2;  // which v3 files no longer carry
-  ASSERT_TRUE(SaveStore(SmallStore(), path, v2_options).ok());
+  ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
-  const size_t entry = FindTableEntry(blob, v2::SectionId::kSpoIndex);
+  const size_t entry = FindTableEntry(blob, v2::SectionId::kPosIndex);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
   std::memcpy(&offset, blob.data() + entry + 8, 8);
   const uint32_t oob = 0xFFFFFFFFu;
-  std::memcpy(blob.data() + offset, &oob, 4);  // spo[0]
-  RepairSectionCrc(&blob, v2::SectionId::kSpoIndex);
+  std::memcpy(blob.data() + offset, &oob, 4);  // pos[0]
+  RepairSectionCrc(&blob, v2::SectionId::kPosIndex);
   const std::string bad_path = TempPath("v2_perm_bad.sqp");
   WriteFile(bad_path, blob);
 
@@ -672,61 +554,34 @@ TEST(StoreIoTest, V2RejectsOutOfRangePermutationIndex) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsUnsortedOrderingInvariants) {
+TEST(StoreIoTest, StoreRejectsUnsortedOrderingInvariants) {
   const std::string path = TempPath("v2_order.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;  // this test byte-pokes the flat layout
-  ASSERT_TRUE(SaveStore(SmallStore(), path, v2_options).ok());
-  const std::string blob = ReadFile(path);
+  ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
+  std::string bad = ReadFile(path);
 
-  {
-    // Swap the first two ids of the lexicographic dictionary permutation
-    // and re-checksum: binary-searched Find would silently miss terms.
-    std::string bad = blob;
-    const size_t entry = FindTableEntry(bad, v2::SectionId::kDictSorted);
-    ASSERT_NE(entry, std::string::npos);
-    uint64_t offset = 0;
-    std::memcpy(&offset, bad.data() + entry + 8, 8);
-    uint32_t a = 0;
-    uint32_t b = 0;
-    std::memcpy(&a, bad.data() + offset, 4);
-    std::memcpy(&b, bad.data() + offset + 4, 4);
-    std::memcpy(bad.data() + offset, &b, 4);
-    std::memcpy(bad.data() + offset + 4, &a, 4);
-    RepairSectionCrc(&bad, v2::SectionId::kDictSorted);
-    const std::string bad_path = TempPath("v2_order_dict.sqp");
-    WriteFile(bad_path, bad);
+  // Swap the first two ids of the lexicographic dictionary permutation
+  // and re-checksum: binary-searched Find would silently miss terms.
+  const size_t entry = FindTableEntry(bad, v2::SectionId::kDictSorted);
+  ASSERT_NE(entry, std::string::npos);
+  uint64_t offset = 0;
+  std::memcpy(&offset, bad.data() + entry + 8, 8);
+  uint32_t a = 0;
+  uint32_t b = 0;
+  std::memcpy(&a, bad.data() + offset, 4);
+  std::memcpy(&b, bad.data() + offset + 4, 4);
+  std::memcpy(bad.data() + offset, &b, 4);
+  std::memcpy(bad.data() + offset + 4, &a, 4);
+  RepairSectionCrc(&bad, v2::SectionId::kDictSorted);
+  const std::string bad_path = TempPath("v2_order_dict.sqp");
+  WriteFile(bad_path, bad);
 
-    auto lazy = MmapStore::Open(bad_path);
-    ASSERT_TRUE(lazy.ok());
-    EXPECT_FALSE(lazy.value()->VerifyMetadataSections().ok());
-    EXPECT_FALSE(LoadStore(bad_path).ok());
-  }
-  {
-    // Swap the top two posting entries of the first directory slice:
-    // scores would no longer stream descending.
-    std::string bad = blob;
-    const size_t entry = FindTableEntry(bad, v2::SectionId::kPostingEntries);
-    ASSERT_NE(entry, std::string::npos);
-    uint64_t offset = 0;
-    std::memcpy(&offset, bad.data() + entry + 8, 8);
-    char tmp[16];
-    std::memcpy(tmp, bad.data() + offset, 16);
-    std::memcpy(bad.data() + offset, bad.data() + offset + 16, 16);
-    std::memcpy(bad.data() + offset + 16, tmp, 16);
-    RepairSectionCrc(&bad, v2::SectionId::kPostingEntries);
-    const std::string bad_path = TempPath("v2_order_postings.sqp");
-    WriteFile(bad_path, bad);
-
-    MmapStore::Options eager;
-    eager.verify = MmapStore::Verify::kEager;
-    auto strict = MmapStore::Open(bad_path, eager);
-    EXPECT_FALSE(strict.ok());
-    EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
-  }
+  auto lazy = MmapStore::Open(bad_path);
+  ASSERT_TRUE(lazy.ok());
+  EXPECT_FALSE(lazy.value()->VerifyMetadataSections().ok());
+  EXPECT_FALSE(LoadStore(bad_path).ok());
 }
 
-TEST(StoreIoTest, V2RejectsReservedBitsAndUnknownSections) {
+TEST(StoreIoTest, StoreRejectsReservedBitsAndUnknownSections) {
   const std::string path = TempPath("v2_reserved.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
@@ -740,21 +595,23 @@ TEST(StoreIoTest, V2RejectsReservedBitsAndUnknownSections) {
     WriteFile(bad_path, bad);
     EXPECT_FALSE(MmapStore::Open(bad_path).ok());
   }
-  {
-    // Unknown section id in the first table row.
+  // Unknown section ids in the first table row: the retired flat
+  // posting-entries id, and one the format never defined.
+  for (const uint32_t id : {9u, 999u}) {
     std::string bad = blob;
-    const uint32_t id = 999;
     std::memcpy(bad.data() + sizeof(v2::FileHeader), &id, 4);
     const std::string bad_path = TempPath("v2_reserved_id.sqp");
     WriteFile(bad_path, bad);
-    EXPECT_FALSE(MmapStore::Open(bad_path).ok());
+    auto mapped = MmapStore::Open(bad_path);
+    EXPECT_FALSE(mapped.ok()) << "section id " << id;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
   }
 }
 
-// --- v3 corruption paths ----------------------------------------------------
+// --- block posting corruption paths -----------------------------------------
 
-// A v3 store (the default format) whose posting lists span multiple
-// blocks, so directory rows address real block runs worth corrupting.
+// A store whose posting lists span multiple blocks, so directory rows
+// address real block runs worth corrupting.
 std::string SaveMultiBlockV3(const char* name) {
   Rng rng(27);
   specqp::testing::RandomStoreConfig cfg;
@@ -762,7 +619,6 @@ std::string SaveMultiBlockV3(const char* name) {
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
   const std::string path = TempPath(name);
   EXPECT_TRUE(SaveStore(store, path).ok());
-  EXPECT_EQ(PeekStoreVersion(path).value(), 3u);
   return path;
 }
 
@@ -930,10 +786,13 @@ TEST(StoreIoTest, V3OmitsSpoIndexAndSynthesisesIt) {
   const std::string path = TempPath("v3_no_spo.sqp");
   ASSERT_TRUE(SaveStore(store, path).ok());
 
-  // The section is genuinely absent from the file...
+  // The section is genuinely absent from the file (id 5, retired, held the
+  // stored SPO permutation)...
+  constexpr uint32_t kRetiredSpoIndexId = 5;
   const std::string blob = ReadFile(path);
-  EXPECT_EQ(FindTableEntry(blob, v2::SectionId::kSpoIndex),
-            std::string::npos);
+  EXPECT_EQ(
+      FindTableEntry(blob, static_cast<v2::SectionId>(kRetiredSpoIndexId)),
+      std::string::npos);
 
   // ...and subject-bound lookups (the SPO index's consumers) still agree
   // with the in-memory store through the synthesised identity view.
@@ -950,15 +809,14 @@ TEST(StoreIoTest, V3OmitsSpoIndexAndSynthesisesIt) {
   }
   EXPECT_GT(checked, 0u);
 
-  // A v3 file that does carry the redundant section is malformed.
+  // A file that does carry the redundant section is malformed.
   std::string padded = blob;
   // Graft a fake SPO table entry by flipping an existing section's id; the
   // simpler, spec-level contract is just that Open rejects the combination,
   // exercised via the pos-index row.
   const size_t pos_entry = FindTableEntry(padded, v2::SectionId::kPosIndex);
   ASSERT_NE(pos_entry, std::string::npos);
-  const uint32_t spo_id = static_cast<uint32_t>(v2::SectionId::kSpoIndex);
-  std::memcpy(padded.data() + pos_entry, &spo_id, 4);
+  std::memcpy(padded.data() + pos_entry, &kRetiredSpoIndexId, 4);
   const std::string bad_path = TempPath("v3_with_spo.sqp");
   WriteFile(bad_path, padded);
   auto rejected = MmapStore::Open(bad_path);

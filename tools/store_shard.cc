@@ -2,7 +2,7 @@
 //
 // Two modes:
 //
-//   --input <store file>   shard an existing SQPSTOR1/2/3 file
+//   --input <store file>   shard an existing SQPSTOR3 store file
 //   --dataset xkg|twitter  generate a synthetic dataset directly into
 //                          shards, streamed: each shard task re-runs the
 //                          deterministic generator pass and keeps only the
@@ -12,9 +12,9 @@
 //                          This is what makes --scale 100 buildable on a
 //                          laptop.
 //
-// Shard files are built in parallel on a ThreadPool (--threads) and
-// streamed to disk; the manifest is written last, sealing the bundle. The
-// result opens through the stock Engine::OpenFromPath.
+// Shard files are SQPSTOR3 stores, built in parallel on a ThreadPool
+// (--threads) and streamed to disk; the manifest is written last, sealing
+// the bundle. The result opens through the stock Engine::OpenFromPath.
 //
 //   store_shard --dataset xkg --scale 100 --shards 8 --out /data/xkg100
 //   store_shard --input twitter.sqps --shards 4 --scheme predicate
@@ -47,7 +47,6 @@ struct ToolOptions {
   size_t scale = 1;
   uint64_t seed = 0;  // 0 = the dataset's default seed
   bundle::HashScheme scheme = bundle::HashScheme::kSubject;
-  uint32_t format_version = 3;
   size_t threads = 0;  // 0 = hardware concurrency
 };
 
@@ -56,7 +55,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s (--input FILE | --dataset xkg|twitter) --out DIR\n"
       "          [--shards N] [--scale N] [--seed N]\n"
-      "          [--scheme subject|predicate] [--format 2|3] [--threads N]\n",
+      "          [--scheme subject|predicate] [--threads N]\n",
       argv0);
   return 2;
 }
@@ -97,11 +96,9 @@ Status BuildGeneratedShard(const ToolOptions& options, uint32_t shard) {
   }
   store.Finalize();
 
-  SaveStoreOptions save;
-  save.format_version = options.format_version;
   const std::string path =
       options.out + "/" + BundleShardFileName(shard);
-  SPECQP_RETURN_IF_ERROR(SaveStore(store, path, save));
+  SPECQP_RETURN_IF_ERROR(SaveStore(store, path));
   std::fprintf(stderr, "  shard %u: kept %llu of %llu emitted -> %s\n",
                shard, static_cast<unsigned long long>(kept),
                static_cast<unsigned long long>(seen), path.c_str());
@@ -126,7 +123,6 @@ int Run(const ToolOptions& options) {
     ShardBundleOptions bundle_options;
     bundle_options.shard_count = options.shards;
     bundle_options.scheme = options.scheme;
-    bundle_options.format_version = options.format_version;
     bundle_options.pool = &pool;
     status = WriteShardBundle(loaded.value(), options.out, bundle_options);
   } else {
@@ -155,7 +151,7 @@ int Run(const ToolOptions& options) {
     }
     if (status.ok()) {
       status = WriteBundleManifest(options.out, options.shards,
-                                   options.scheme, options.format_version);
+                                   options.scheme);
     }
   }
 
@@ -223,13 +219,6 @@ int main(int argc, char** argv) {
       } else {
         return specqp::Usage(argv[0]);
       }
-    } else if (arg == "--format") {
-      const char* v = next();
-      if (v == nullptr || !specqp::ParseUint(v, &value) ||
-          (value != 2 && value != 3)) {
-        return specqp::Usage(argv[0]);
-      }
-      options.format_version = static_cast<uint32_t>(value);
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr || !specqp::ParseUint(v, &value)) {
