@@ -125,7 +125,7 @@ struct RaceFixture {
   TripleStore store;
   RelaxationIndex rules;
   std::vector<Query> queries;           // queries[q] is group q's star
-  std::vector<v2::StatsEntry> poison;   // Preload before any planning
+  std::vector<v3::StatsEntry> poison;   // Preload before any planning
 
   RaceFixture() {
     Dictionary& dict = store.dict();
@@ -165,7 +165,7 @@ struct RaceFixture {
         // Planner-wrong group: A's matches look like junk (mean score
         // ~0.1), so E_Q(k) collapses and relaxing A through the juicy R
         // wins the comparison — against a pattern that is actually perfect.
-        poison.push_back(v2::StatsEntry{kInvalidTermId, p, obj_a, 0,
+        poison.push_back(v3::StatsEntry{kInvalidTermId, p, obj_a, 0,
                                         kAnswers, 0.1, 3.2, 4.0});
       } else {
         // Planner-right group: a stale snapshot row claims R is empty, so
@@ -174,7 +174,7 @@ struct RaceFixture {
         // but uniformly low-scored" — its head bucket always reaches the
         // normalised ceiling — so an empty-claiming row is the one stats
         // shape that deterministically suppresses the relaxation.
-        poison.push_back(v2::StatsEntry{kInvalidTermId, p, obj_r, 0,
+        poison.push_back(v3::StatsEntry{kInvalidTermId, p, obj_r, 0,
                                         0, 0.0, 0.0, 0.0});
       }
 

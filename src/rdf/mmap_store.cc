@@ -35,17 +35,17 @@ Status Corrupt(const char* what) { return Status::Corruption(what); }
 // True for the ids the format defines; the retired ids 5 and 9 and any
 // future id are rejected.
 bool KnownSectionId(uint32_t id) {
-  switch (static_cast<v2::SectionId>(id)) {
-    case v2::SectionId::kDictOffsets:
-    case v2::SectionId::kDictBlob:
-    case v2::SectionId::kDictSorted:
-    case v2::SectionId::kTriples:
-    case v2::SectionId::kPosIndex:
-    case v2::SectionId::kOspIndex:
-    case v2::SectionId::kPostingDir:
-    case v2::SectionId::kStats:
-    case v2::SectionId::kPostingBlockIndex:
-    case v2::SectionId::kPostingBlocks:
+  switch (static_cast<v3::SectionId>(id)) {
+    case v3::SectionId::kDictOffsets:
+    case v3::SectionId::kDictBlob:
+    case v3::SectionId::kDictSorted:
+    case v3::SectionId::kTriples:
+    case v3::SectionId::kPosIndex:
+    case v3::SectionId::kOspIndex:
+    case v3::SectionId::kPostingDir:
+    case v3::SectionId::kStats:
+    case v3::SectionId::kPostingBlockIndex:
+    case v3::SectionId::kPostingBlocks:
       return true;
   }
   return false;
@@ -60,7 +60,7 @@ MmapStore::~MmapStore() {
   }
 }
 
-const MmapStore::Section* MmapStore::FindSection(v2::SectionId id) const {
+const MmapStore::Section* MmapStore::FindSection(v3::SectionId id) const {
   for (size_t i = 0; i < section_count_; ++i) {
     if (sections_[i].id == id) return &sections_[i];
   }
@@ -86,7 +86,7 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     return status;
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  if (file_size < sizeof(v2::FileHeader)) {
+  if (file_size < sizeof(v3::FileHeader)) {
     ::close(fd);
     return Corrupt("truncated header");
   }
@@ -114,7 +114,7 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
 
   // --- header + section table (structural validation) ----------------------
 
-  v2::FileHeader header;
+  v3::FileHeader header;
   std::memcpy(&header, bytes, sizeof(header));
   if (std::memcmp(header.magic, v3::kMagic, sizeof(v3::kMagic)) != 0) {
     return Corrupt("bad magic; not a SQPSTOR3 store file");
@@ -126,22 +126,22 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   if (header.file_size != file_size) {
     return Corrupt("header file size does not match the actual file");
   }
-  if (header.section_count == 0 || header.section_count > v2::kMaxSections) {
+  if (header.section_count == 0 || header.section_count > v3::kMaxSections) {
     return Corrupt("implausible section count");
   }
-  const uint64_t table_end = sizeof(v2::FileHeader) +
+  const uint64_t table_end = sizeof(v3::FileHeader) +
                              uint64_t{header.section_count} *
-                                 sizeof(v2::SectionEntry);
+                                 sizeof(v3::SectionEntry);
   if (table_end > file_size) {
     return Corrupt("truncated section table");
   }
 
-  const auto table = RecordSpan<v2::SectionEntry>(
-      bytes, sizeof(v2::FileHeader), header.section_count);
+  const auto table = RecordSpan<v3::SectionEntry>(
+      bytes, sizeof(v3::FileHeader), header.section_count);
   std::set<uint32_t> seen_ids;
   uint64_t cursor = table_end;  // sections are laid out back to back
   for (size_t i = 0; i < table.size(); ++i) {
-    const v2::SectionEntry& entry = table[i];
+    const v3::SectionEntry& entry = table[i];
     if (entry.flags != 0 || entry.reserved != 0) {
       return Corrupt("nonzero reserved bits in section table");
     }
@@ -149,15 +149,15 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     if (!seen_ids.insert(entry.id).second) {
       return Corrupt("duplicate section id");
     }
-    if (entry.offset % v2::kSectionAlignment != 0 ||
-        entry.length % v2::kSectionAlignment != 0) {
+    if (entry.offset % v3::kSectionAlignment != 0 ||
+        entry.length % v3::kSectionAlignment != 0) {
       return Corrupt("misaligned section offset or length");
     }
     if (entry.offset != cursor || entry.length > file_size - entry.offset) {
       return Corrupt("section offsets are not gapless ascending");
     }
     cursor = entry.offset + entry.length;
-    store->sections_[i] = Section{static_cast<v2::SectionId>(entry.id),
+    store->sections_[i] = Section{static_cast<v3::SectionId>(entry.id),
                                   bytes + entry.offset, entry.length,
                                   entry.crc32c};
   }
@@ -172,15 +172,15 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
 
   const uint64_t terms = header.term_count;
   const uint64_t triples = header.triple_count;
-  const Section* dict_offsets = store->FindSection(v2::SectionId::kDictOffsets);
-  const Section* dict_blob = store->FindSection(v2::SectionId::kDictBlob);
-  const Section* dict_sorted = store->FindSection(v2::SectionId::kDictSorted);
-  const Section* triple_sec = store->FindSection(v2::SectionId::kTriples);
-  const Section* pos = store->FindSection(v2::SectionId::kPosIndex);
-  const Section* osp = store->FindSection(v2::SectionId::kOspIndex);
-  const Section* dir = store->FindSection(v2::SectionId::kPostingDir);
-  const Section* index = store->FindSection(v2::SectionId::kPostingBlockIndex);
-  const Section* blocks = store->FindSection(v2::SectionId::kPostingBlocks);
+  const Section* dict_offsets = store->FindSection(v3::SectionId::kDictOffsets);
+  const Section* dict_blob = store->FindSection(v3::SectionId::kDictBlob);
+  const Section* dict_sorted = store->FindSection(v3::SectionId::kDictSorted);
+  const Section* triple_sec = store->FindSection(v3::SectionId::kTriples);
+  const Section* pos = store->FindSection(v3::SectionId::kPosIndex);
+  const Section* osp = store->FindSection(v3::SectionId::kOspIndex);
+  const Section* dir = store->FindSection(v3::SectionId::kPostingDir);
+  const Section* index = store->FindSection(v3::SectionId::kPostingBlockIndex);
+  const Section* blocks = store->FindSection(v3::SectionId::kPostingBlocks);
   if (dict_offsets == nullptr || dict_blob == nullptr ||
       dict_sorted == nullptr || triple_sec == nullptr || pos == nullptr ||
       osp == nullptr || dir == nullptr || index == nullptr ||
@@ -189,22 +189,22 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   }
   if (terms >= kInvalidTermId) return Corrupt("implausible term count");
   if (triples > UINT32_MAX) return Corrupt("implausible triple count");
-  if (dict_offsets->length != v2::AlignUp((terms + 1) * 8)) {
+  if (dict_offsets->length != v3::AlignUp((terms + 1) * 8)) {
     return Corrupt("dictionary offset table length mismatch");
   }
   const auto offsets = RecordSpan<uint64_t>(dict_offsets->data, 0, terms + 1);
   if (offsets[0] != 0 || offsets[terms] > dict_blob->length ||
-      v2::AlignUp(offsets[terms]) != dict_blob->length) {
+      v3::AlignUp(offsets[terms]) != dict_blob->length) {
     return Corrupt("dictionary blob length mismatch");
   }
-  if (dict_sorted->length != v2::AlignUp(terms * 4)) {
+  if (dict_sorted->length != v3::AlignUp(terms * 4)) {
     return Corrupt("dictionary sorted-permutation length mismatch");
   }
   if (triple_sec->length != triples * sizeof(Triple)) {
     return Corrupt("triple section length mismatch");
   }
   for (const Section* perm : {pos, osp}) {
-    if (perm->length != v2::AlignUp(triples * 4)) {
+    if (perm->length != v3::AlignUp(triples * 4)) {
       return Corrupt("permutation index length mismatch");
     }
   }
@@ -221,7 +221,7 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     std::memcpy(&count, dir->data, 8);
     if (count > (dir->length - 8) / sizeof(v3::BlockPostingDirEntry) ||
         dir->length !=
-            v2::AlignUp(8 + count * sizeof(v3::BlockPostingDirEntry))) {
+            v3::AlignUp(8 + count * sizeof(v3::BlockPostingDirEntry))) {
       return Corrupt("posting directory length mismatch");
     }
     if (index->length % sizeof(PostingBlockHeader) != 0) {
@@ -291,7 +291,7 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     if (block_cursor != total_blocks) {
       return Corrupt("unreferenced posting blocks");
     }
-    if (v2::AlignUp(byte_cursor) != blocks->length) {
+    if (v3::AlignUp(byte_cursor) != blocks->length) {
       return Corrupt("posting block payload length mismatch");
     }
     store->block_postings_.directory = rows;
@@ -300,7 +300,7 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
         blocks->data, 0, byte_cursor);
   }
 
-  const Section* stats = store->FindSection(v2::SectionId::kStats);
+  const Section* stats = store->FindSection(v3::SectionId::kStats);
   if (stats != nullptr) {
     if (stats->length < 16) return Corrupt("truncated statistics snapshot");
     double head_fraction = 0.0;
@@ -308,13 +308,13 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     std::memcpy(&head_fraction, stats->data, 8);
     std::memcpy(&count, stats->data + 8, 8);
     // Bound the count before the multiply below can wrap.
-    if (count > (stats->length - 16) / sizeof(v2::StatsEntry) ||
-        stats->length != v2::AlignUp(16 + count * sizeof(v2::StatsEntry))) {
+    if (count > (stats->length - 16) / sizeof(v3::StatsEntry) ||
+        stats->length != v3::AlignUp(16 + count * sizeof(v3::StatsEntry))) {
       return Corrupt("statistics snapshot length mismatch");
     }
     store->stats_head_fraction_ = head_fraction;
     store->stats_entries_ =
-        RecordSpan<v2::StatsEntry>(stats->data, /*byte_offset=*/16, count);
+        RecordSpan<v3::StatsEntry>(stats->data, /*byte_offset=*/16, count);
   }
 
   // --- assemble the zero-copy views -----------------------------------------
@@ -339,9 +339,9 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
 }
 
 Dictionary MmapStore::NewDictionaryView() const {
-  const Section* offsets = FindSection(v2::SectionId::kDictOffsets);
-  const Section* blob = FindSection(v2::SectionId::kDictBlob);
-  const Section* sorted = FindSection(v2::SectionId::kDictSorted);
+  const Section* offsets = FindSection(v3::SectionId::kDictOffsets);
+  const Section* blob = FindSection(v3::SectionId::kDictBlob);
+  const Section* sorted = FindSection(v3::SectionId::kDictSorted);
   SPECQP_CHECK(offsets != nullptr && blob != nullptr && sorted != nullptr);
   const auto offset_span =
       RecordSpan<uint64_t>(offsets->data, 0, term_count_ + 1);
@@ -356,7 +356,7 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
   // self-consistent CRCs but an unsorted permutation would otherwise
   // produce silently wrong answers while every Status stays Ok.
   switch (section.id) {
-    case v2::SectionId::kDictOffsets: {
+    case v3::SectionId::kDictOffsets: {
       // Monotonicity makes every Name(id) slice well-formed; the first
       // and last entries were already pinned structurally at Open.
       const auto offsets = RecordSpan<uint64_t>(section.data, 0,
@@ -368,7 +368,7 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
-    case v2::SectionId::kDictSorted: {
+    case v3::SectionId::kDictSorted: {
       // Strictly ascending by term bytes: implies unique terms and a
       // well-formed binary-search order. Uses the mapped dictionary
       // view, whose offsets section is validated before this one on the
@@ -385,7 +385,7 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
-    case v2::SectionId::kTriples: {
+    case v3::SectionId::kTriples: {
       const auto triples = RecordSpan<Triple>(section.data, 0, triple_count_);
       for (size_t i = 0; i < triples.size(); ++i) {
         const Triple& t = triples[i];
@@ -399,15 +399,15 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
-    case v2::SectionId::kPosIndex:
-    case v2::SectionId::kOspIndex: {
+    case v3::SectionId::kPosIndex:
+    case v3::SectionId::kOspIndex: {
       // Range plus strict ordering under the section's comparator. Over
       // unique triples, strict order also implies the indexes are
       // distinct, i.e. a true permutation.
       const auto perm = RecordSpan<uint32_t>(section.data, 0, triple_count_);
       const auto triples = store_.triples();
       auto in_order = [&](uint32_t a, uint32_t b) {
-        return section.id == v2::SectionId::kPosIndex
+        return section.id == v3::SectionId::kPosIndex
                    ? OrderPos()(triples[a], triples[b])
                    : OrderOsp()(triples[a], triples[b]);
       };
@@ -421,7 +421,7 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
-    case v2::SectionId::kPostingBlocks: {
+    case v3::SectionId::kPostingBlocks: {
       // Full decode of every block: exact varint byte consumption, ids in
       // range, scores normalised and non-increasing, header agreement
       // (first score bit-equal to max_score, exact min/max id range) —
@@ -471,8 +471,8 @@ Status MmapStore::VerifySectionIndex(size_t index) {
     // the offset table — make sure that table is sound first (memoised,
     // O(terms); keeps Name() from CHECK-failing on a crafted file even
     // when sections are verified out of file order).
-    if (section.id == v2::SectionId::kDictSorted) {
-      const Status offsets = VerifySection(v2::SectionId::kDictOffsets);
+    if (section.id == v3::SectionId::kDictSorted) {
+      const Status offsets = VerifySection(v3::SectionId::kDictOffsets);
       if (!offsets.ok()) {
         verified_[index].store(2, std::memory_order_release);
         return Status::Corruption(
@@ -494,7 +494,7 @@ Status MmapStore::VerifySectionIndex(size_t index) {
   return Status::Ok();
 }
 
-Status MmapStore::VerifySection(v2::SectionId id) {
+Status MmapStore::VerifySection(v3::SectionId id) {
   for (size_t i = 0; i < section_count_; ++i) {
     if (sections_[i].id == id) return VerifySectionIndex(i);
   }
@@ -510,10 +510,10 @@ Status MmapStore::VerifyAllSections() {
 }
 
 Status MmapStore::VerifyMetadataSections() {
-  for (const v2::SectionId id :
-       {v2::SectionId::kDictOffsets, v2::SectionId::kDictBlob,
-        v2::SectionId::kDictSorted, v2::SectionId::kPostingDir,
-        v2::SectionId::kStats}) {
+  for (const v3::SectionId id :
+       {v3::SectionId::kDictOffsets, v3::SectionId::kDictBlob,
+        v3::SectionId::kDictSorted, v3::SectionId::kPostingDir,
+        v3::SectionId::kStats}) {
     const Status status = VerifySection(id);
     if (!status.ok()) return status;
   }

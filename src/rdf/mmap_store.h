@@ -89,7 +89,7 @@ class MmapStore {
   // Statistics snapshot (section kStats); empty when the file has none.
   bool has_stats() const { return !stats_entries_.empty(); }
   double stats_head_fraction() const { return stats_head_fraction_; }
-  std::span<const v2::StatsEntry> stats_entries() const {
+  std::span<const v3::StatsEntry> stats_entries() const {
     return stats_entries_;
   }
 
@@ -101,7 +101,7 @@ class MmapStore {
   // dereferenced without CHECK-failures even on a crafted file; an
   // UNverified section of a lazily opened store is trusted — use
   // Verify::kEager (or VerifyAllSections) for untrusted input.
-  [[nodiscard]] Status VerifySection(v2::SectionId id);
+  [[nodiscard]] Status VerifySection(v3::SectionId id);
 
   // Verifies every section in the file (memoised per section).
   [[nodiscard]] Status VerifyAllSections();
@@ -116,13 +116,13 @@ class MmapStore {
   MmapStore() = default;
 
   struct Section {
-    v2::SectionId id;
+    v3::SectionId id;
     const char* data = nullptr;
     uint64_t length = 0;  // stored (padded) length
     uint32_t crc32c = 0;
   };
 
-  const Section* FindSection(v2::SectionId id) const;
+  const Section* FindSection(v3::SectionId id) const;
   [[nodiscard]] Status VerifySectionIndex(size_t index);
   // Value-range validation behind VerifySection (checksums alone cannot
   // reject crafted files, whose CRCs are self-consistent).
@@ -134,10 +134,10 @@ class MmapStore {
   uint64_t triple_count_ = 0;
   uint64_t term_count_ = 0;
 
-  std::array<Section, v2::kMaxSections> sections_{};
+  std::array<Section, v3::kMaxSections> sections_{};
   size_t section_count_ = 0;
   // 0 = unverified, 1 = CRC ok, 2 = CRC mismatch.
-  std::array<std::atomic<uint8_t>, v2::kMaxSections> verified_{};
+  std::array<std::atomic<uint8_t>, v3::kMaxSections> verified_{};
 
   // The file stores no SPO permutation (it is always the identity over
   // the SPO-sorted triple array); the view synthesises it here at open.
@@ -147,7 +147,7 @@ class MmapStore {
   TripleStore store_;
 
   double stats_head_fraction_ = 0.0;
-  std::span<const v2::StatsEntry> stats_entries_;
+  std::span<const v3::StatsEntry> stats_entries_;
 };
 
 }  // namespace specqp

@@ -36,7 +36,7 @@ Result<ShardTable> ReadShardTable(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open shard file: " + path);
 
-  v2::FileHeader header{};
+  v3::FileHeader header{};
   if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
     return Status::Corruption("shard file shorter than its header: " + path);
   }
@@ -44,13 +44,13 @@ Result<ShardTable> ReadShardTable(const std::string& path) {
       header.version != v3::kFormatVersion) {
     return Status::Corruption("shard file is not a SQPSTOR3 store: " + path);
   }
-  if (header.section_count == 0 || header.section_count > v2::kMaxSections) {
+  if (header.section_count == 0 || header.section_count > v3::kMaxSections) {
     return Status::Corruption("implausible shard section count: " + path);
   }
 
   const uint64_t table_end =
-      sizeof(v2::FileHeader) +
-      uint64_t{header.section_count} * sizeof(v2::SectionEntry);
+      sizeof(v3::FileHeader) +
+      uint64_t{header.section_count} * sizeof(v3::SectionEntry);
   std::error_code ec;
   const uint64_t actual_size = fs::file_size(path, ec);
   if (ec) return Status::IoError("cannot stat shard file: " + path);
@@ -68,19 +68,19 @@ Result<ShardTable> ReadShardTable(const std::string& path) {
 
   uint32_t dict_crcs[3] = {0, 0, 0};
   bool dict_seen[3] = {false, false, false};
-  const auto* entries = reinterpret_cast<const v2::SectionEntry*>(
-      table_bytes.data() + sizeof(v2::FileHeader));
+  const auto* entries = reinterpret_cast<const v3::SectionEntry*>(
+      table_bytes.data() + sizeof(v3::FileHeader));
   for (uint32_t i = 0; i < header.section_count; ++i) {
-    switch (static_cast<v2::SectionId>(entries[i].id)) {
-      case v2::SectionId::kDictOffsets:
+    switch (static_cast<v3::SectionId>(entries[i].id)) {
+      case v3::SectionId::kDictOffsets:
         dict_crcs[0] = entries[i].crc32c;
         dict_seen[0] = true;
         break;
-      case v2::SectionId::kDictBlob:
+      case v3::SectionId::kDictBlob:
         dict_crcs[1] = entries[i].crc32c;
         dict_seen[1] = true;
         break;
-      case v2::SectionId::kDictSorted:
+      case v3::SectionId::kDictSorted:
         dict_crcs[2] = entries[i].crc32c;
         dict_seen[2] = true;
         break;

@@ -36,8 +36,10 @@ namespace specqp {
 //     predicates, in directory order;
 //   * kPostingBlocks is the concatenated delta-encoded block payload
 //     (padded to 8 bytes like every section).
-namespace v2 {
+namespace v3 {
 
+inline constexpr char kMagic[8] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R', '3'};
+inline constexpr uint32_t kFormatVersion = 3;
 inline constexpr uint64_t kSectionAlignment = 8;
 
 // Hard cap on section_count: structural sanity, not a format limit we
@@ -111,13 +113,6 @@ static_assert(sizeof(double) == 8, "store format assumes 8-byte doubles");
 inline uint64_t AlignUp(uint64_t n) {
   return (n + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
-
-}  // namespace v2
-
-namespace v3 {
-
-inline constexpr char kMagic[8] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R', '3'};
-inline constexpr uint32_t kFormatVersion = 3;
 
 // kPostingDir row: the posting list of (?s <predicate> ?o), stored as
 // blocks [block_begin, block_begin + block_count) of kPostingBlockIndex,

@@ -42,12 +42,12 @@ void AppendF64(std::string* buf, double v) {
 // zero bytes that are covered by the CRC, so the written file has no
 // unprotected gaps (docs/FORMATS.md).
 struct SectionBuf {
-  v2::SectionId id;
+  v3::SectionId id;
   std::string payload;
 };
 
 void PadSection(std::string* payload) {
-  while (payload->size() % v2::kSectionAlignment != 0) {
+  while (payload->size() % v3::kSectionAlignment != 0) {
     payload->push_back('\0');
   }
 }
@@ -65,10 +65,10 @@ std::vector<uint32_t> SortedPermutation(std::span<const Triple> triples) {
   return perm;
 }
 
-void AppendIndexSection(std::vector<SectionBuf>* sections, v2::SectionId id,
+void AppendIndexSection(std::vector<SectionBuf>* sections, v3::SectionId id,
                         const std::vector<uint32_t>& perm) {
   SectionBuf section{id, {}};
-  section.payload.reserve(perm.size() * 4 + v2::kSectionAlignment);
+  section.payload.reserve(perm.size() * 4 + v3::kSectionAlignment);
   for (uint32_t v : perm) AppendU32(&section.payload, v);
   sections->push_back(std::move(section));
 }
@@ -77,18 +77,18 @@ Status WriteSections(const std::string& path, std::vector<SectionBuf> sections,
                      uint64_t triple_count, uint64_t term_count) {
   for (SectionBuf& section : sections) PadSection(&section.payload);
 
-  v2::FileHeader header{};
+  v3::FileHeader header{};
   std::memcpy(header.magic, v3::kMagic, sizeof(v3::kMagic));
   header.version = v3::kFormatVersion;
   header.section_count = static_cast<uint32_t>(sections.size());
   header.triple_count = triple_count;
   header.term_count = term_count;
 
-  std::vector<v2::SectionEntry> table(sections.size());
+  std::vector<v3::SectionEntry> table(sections.size());
   uint64_t cursor =
-      sizeof(v2::FileHeader) + sections.size() * sizeof(v2::SectionEntry);
+      sizeof(v3::FileHeader) + sections.size() * sizeof(v3::SectionEntry);
   for (size_t i = 0; i < sections.size(); ++i) {
-    table[i] = v2::SectionEntry{
+    table[i] = v3::SectionEntry{
         static_cast<uint32_t>(sections[i].id), /*flags=*/0, cursor,
         sections[i].payload.size(),
         Crc32c(sections[i].payload.data(), sections[i].payload.size()),
@@ -172,8 +172,8 @@ Status SaveStore(const TripleStore& store, const std::string& path,
 
   // Dictionary: offset table, blob, lexicographic permutation.
   {
-    SectionBuf offsets{v2::SectionId::kDictOffsets, {}};
-    SectionBuf blob{v2::SectionId::kDictBlob, {}};
+    SectionBuf offsets{v3::SectionId::kDictOffsets, {}};
+    SectionBuf blob{v3::SectionId::kDictBlob, {}};
     uint64_t cursor = 0;
     AppendU64(&offsets.payload, 0);
     for (TermId id = 0; id < dict.size(); ++id) {
@@ -182,7 +182,7 @@ Status SaveStore(const TripleStore& store, const std::string& path,
       AppendU64(&offsets.payload, cursor);
       blob.payload.append(name);
     }
-    SectionBuf sorted{v2::SectionId::kDictSorted, {}};
+    SectionBuf sorted{v3::SectionId::kDictSorted, {}};
     std::vector<uint32_t> perm(dict.size());
     for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
     std::sort(perm.begin(), perm.end(), [&dict](uint32_t a, uint32_t b) {
@@ -196,7 +196,7 @@ Status SaveStore(const TripleStore& store, const std::string& path,
 
   // Triple array (SPO order, padding bytes zeroed) + permutation indexes.
   {
-    SectionBuf section{v2::SectionId::kTriples, {}};
+    SectionBuf section{v3::SectionId::kTriples, {}};
     section.payload.reserve(triples.size() * sizeof(Triple));
     for (const Triple& t : triples) {
       AppendU32(&section.payload, t.s);
@@ -209,9 +209,9 @@ Status SaveStore(const TripleStore& store, const std::string& path,
 
     // The SPO permutation of an SPO-sorted triple array is the identity,
     // so the file stores none; readers synthesise the view.
-    AppendIndexSection(&sections, v2::SectionId::kPosIndex,
+    AppendIndexSection(&sections, v3::SectionId::kPosIndex,
                        SortedPermutation<OrderPos>(triples));
-    AppendIndexSection(&sections, v2::SectionId::kOspIndex,
+    AppendIndexSection(&sections, v3::SectionId::kOspIndex,
                        SortedPermutation<OrderOsp>(triples));
   }
 
@@ -226,9 +226,9 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     predicates.erase(std::unique(predicates.begin(), predicates.end()),
                      predicates.end());
 
-    SectionBuf dir{v2::SectionId::kPostingDir, {}};
-    SectionBuf index{v2::SectionId::kPostingBlockIndex, {}};
-    SectionBuf blocks{v2::SectionId::kPostingBlocks, {}};
+    SectionBuf dir{v3::SectionId::kPostingDir, {}};
+    SectionBuf index{v3::SectionId::kPostingBlockIndex, {}};
+    SectionBuf blocks{v3::SectionId::kPostingBlocks, {}};
     AppendU64(&dir.payload, predicates.size());
     uint64_t block_cursor = 0;
     for (TermId p : predicates) {
@@ -267,15 +267,15 @@ Status SaveStore(const TripleStore& store, const std::string& path,
 
   // Statistics snapshot.
   if (!options.stats.empty()) {
-    std::vector<v2::StatsEntry> rows = options.stats;
+    std::vector<v3::StatsEntry> rows = options.stats;
     std::sort(rows.begin(), rows.end(),
-              [](const v2::StatsEntry& a, const v2::StatsEntry& b) {
+              [](const v3::StatsEntry& a, const v3::StatsEntry& b) {
                 return std::tie(a.s, a.p, a.o) < std::tie(b.s, b.p, b.o);
               });
-    SectionBuf section{v2::SectionId::kStats, {}};
+    SectionBuf section{v3::SectionId::kStats, {}};
     AppendF64(&section.payload, options.stats_head_fraction);
     AppendU64(&section.payload, rows.size());
-    for (const v2::StatsEntry& row : rows) {
+    for (const v3::StatsEntry& row : rows) {
       AppendU32(&section.payload, row.s);
       AppendU32(&section.payload, row.p);
       AppendU32(&section.payload, row.o);

@@ -41,7 +41,7 @@ struct SaveStoreOptions {
   // StatisticsCatalog::Snapshot(). Rows are written sorted by key;
   // head_fraction records the 80/20 boundary they were computed under so
   // loaders only reuse them for a matching engine configuration.
-  std::vector<v2::StatsEntry> stats;
+  std::vector<v3::StatsEntry> stats;
   double stats_head_fraction = 0.0;
 };
 

@@ -79,24 +79,24 @@ PatternStats StatisticsCatalog::Compute(const PatternKey& key) {
   return stats;
 }
 
-std::vector<v2::StatsEntry> StatisticsCatalog::Snapshot() const {
-  std::vector<v2::StatsEntry> rows;
+std::vector<v3::StatsEntry> StatisticsCatalog::Snapshot() const {
+  std::vector<v3::StatsEntry> rows;
   rows.reserve(cache_.size());
   for (const auto& [key, stats] : cache_) {
-    rows.push_back(v2::StatsEntry{key.s, key.p, key.o, /*reserved=*/0,
+    rows.push_back(v3::StatsEntry{key.s, key.p, key.o, /*reserved=*/0,
                                   stats.m, stats.sigma_r, stats.s_r,
                                   stats.s_m});
   }
   std::sort(rows.begin(), rows.end(),
-            [](const v2::StatsEntry& a, const v2::StatsEntry& b) {
+            [](const v3::StatsEntry& a, const v3::StatsEntry& b) {
               return std::tie(a.s, a.p, a.o) < std::tie(b.s, b.p, b.o);
             });
   return rows;
 }
 
-size_t StatisticsCatalog::Preload(std::span<const v2::StatsEntry> entries) {
+size_t StatisticsCatalog::Preload(std::span<const v3::StatsEntry> entries) {
   size_t inserted = 0;
-  for (const v2::StatsEntry& row : entries) {
+  for (const v3::StatsEntry& row : entries) {
     PatternStats stats;
     stats.m = row.m;
     stats.sigma_r = row.sigma_r;

@@ -58,14 +58,14 @@ class StatisticsCatalog {
   // Exports every memoised entry as on-disk snapshot rows, sorted by key
   // so the artifact is deterministic. Feed to SaveStoreOptions::stats
   // together with head_fraction().
-  std::vector<v2::StatsEntry> Snapshot() const;
+  std::vector<v3::StatsEntry> Snapshot() const;
 
   // Seeds the memo cache from a store file's snapshot (e.g. via
   // MmapStore::stats_entries()). The rows must have been computed under
   // this catalog's head_fraction — callers check the snapshot's recorded
   // fraction first (Engine::OpenFromPath does). Returns the number of
   // entries inserted; existing entries are left untouched.
-  size_t Preload(std::span<const v2::StatsEntry> entries);
+  size_t Preload(std::span<const v3::StatsEntry> entries);
 
   // --- estimate calibration (stats/calibration.h) --------------------------
 

@@ -89,8 +89,8 @@ struct SpecFixture {
   RelaxationIndex rules;
   Query query;
   PatternKey key_a, key_c;
-  std::vector<v2::StatsEntry> poison_a;  // planner wrongly relaxes A
-  std::vector<v2::StatsEntry> poison_c;  // C's cardinality claimed tiny
+  std::vector<v3::StatsEntry> poison_a;  // planner wrongly relaxes A
+  std::vector<v3::StatsEntry> poison_c;  // C's cardinality claimed tiny
 
   SpecFixture() {
     Dictionary& dict = store.dict();
@@ -138,11 +138,11 @@ struct SpecFixture {
     key_c = PatternKey{kInvalidTermId, p, obj_c};
     // avg score ~0.1 with the catalog's 80/20 mass split (s_r = 0.8 s_m).
     poison_a.push_back(
-        v2::StatsEntry{kInvalidTermId, p, obj_a, 0, kAnswers, 0.1, 0.96, 1.2});
+        v3::StatsEntry{kInvalidTermId, p, obj_a, 0, kAnswers, 0.1, 0.96, 1.2});
     // Honest shape but m claimed equal to the answer count: the C leaf
     // emits ~2500x its estimate, so any divergence factor trips.
     poison_c.push_back(
-        v2::StatsEntry{kInvalidTermId, p, obj_c, 0, kAnswers, 1.0, 9.6, 12.0});
+        v3::StatsEntry{kInvalidTermId, p, obj_c, 0, kAnswers, 1.0, 9.6, 12.0});
   }
 
   Engine::QueryResult Run(Engine& engine, size_t k = 10) const {

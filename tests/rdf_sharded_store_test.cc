@@ -289,7 +289,7 @@ TEST_F(HostileBundleTest, ShardTableDisagreesWithManifestDigest) {
   // Flip a byte inside shard 1's section table: its table CRC no longer
   // matches the manifest's pinned digest, even at a lazy open.
   FlipByte(dir_ + "/" + BundleShardFileName(1),
-           sizeof(v2::FileHeader) + 12);
+           sizeof(v3::FileHeader) + 12);
   ExpectCorruption(dir_, "shard section table patched");
 }
 

@@ -354,7 +354,7 @@ TEST(StoreIoTest, StatsSnapshotRoundTrip) {
   StatisticsCatalog fresh(&store, &fresh_postings, 0.8);
   EXPECT_EQ(fresh.Preload(mapped.value()->stats_entries()), 2u);
   EXPECT_EQ(fresh.size(), 2u);
-  for (const v2::StatsEntry& row : mapped.value()->stats_entries()) {
+  for (const v3::StatsEntry& row : mapped.value()->stats_entries()) {
     const PatternStats& stats =
         fresh.GetStats(PatternKey{row.s, row.p, row.o});
     EXPECT_EQ(stats.m, row.m);
@@ -368,17 +368,17 @@ TEST(StoreIoTest, StatsSnapshotRoundTrip) {
 // --- corruption paths -------------------------------------------------------
 
 TEST(StoreIoTest, StoreRejectsTruncatedSectionTable) {
-  const std::string path = TempPath("v2_table.sqp");
+  const std::string path = TempPath("store_table.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
   // Cut inside the section table and patch the header's file size to
   // match, so the cut itself (not the size check) is what gets rejected.
-  const size_t cut = sizeof(v2::FileHeader) + sizeof(v2::SectionEntry) / 2;
+  const size_t cut = sizeof(v3::FileHeader) + sizeof(v3::SectionEntry) / 2;
   std::string truncated = blob.substr(0, cut);
   const uint64_t new_size = truncated.size();
   std::memcpy(truncated.data() + 16, &new_size, 8);  // FileHeader::file_size
-  const std::string cut_path = TempPath("v2_table_cut.sqp");
+  const std::string cut_path = TempPath("store_table_cut.sqp");
   WriteFile(cut_path, truncated);
 
   auto mapped = MmapStore::Open(cut_path);
@@ -390,11 +390,11 @@ TEST(StoreIoTest, StoreRejectsTruncatedSectionTable) {
 }
 
 TEST(StoreIoTest, StoreRejectsFileSizeMismatch) {
-  const std::string path = TempPath("v2_size.sqp");
+  const std::string path = TempPath("store_size.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
   for (size_t cut : {blob.size() / 3, blob.size() / 2, blob.size() - 1}) {
-    const std::string cut_path = TempPath("v2_size_cut.sqp");
+    const std::string cut_path = TempPath("store_size_cut.sqp");
     WriteFile(cut_path, blob.substr(0, cut));
     auto mapped = MmapStore::Open(cut_path);
     EXPECT_FALSE(mapped.ok()) << "cut at " << cut;
@@ -407,14 +407,14 @@ TEST(StoreIoTest, StoreRejectsBadSectionCrcLazilyAndEagerly) {
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 200;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-  const std::string path = TempPath("v2_crc.sqp");
+  const std::string path = TempPath("store_crc.sqp");
   ASSERT_TRUE(SaveStore(store, path).ok());
   std::string blob = ReadFile(path);
 
   // Flip one bit in the middle of the triple section's payload.
   const size_t target = blob.size() / 2;
   blob[target] = static_cast<char>(blob[target] ^ 0x10);
-  const std::string bad_path = TempPath("v2_crc_bad.sqp");
+  const std::string bad_path = TempPath("store_crc_bad.sqp");
   WriteFile(bad_path, blob);
 
   // Lazy open succeeds structurally; the memoised checksum pass fails.
@@ -435,17 +435,17 @@ TEST(StoreIoTest, StoreRejectsBadSectionCrcLazilyAndEagerly) {
 }
 
 TEST(StoreIoTest, StoreRejectsMisalignedSectionOffset) {
-  const std::string path = TempPath("v2_align.sqp");
+  const std::string path = TempPath("store_align.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
   // SectionEntry[0].offset lives right after the 40-byte header + 8 bytes
   // of (id, flags). Knock it off the 8-byte grid.
   uint64_t offset = 0;
-  std::memcpy(&offset, blob.data() + sizeof(v2::FileHeader) + 8, 8);
+  std::memcpy(&offset, blob.data() + sizeof(v3::FileHeader) + 8, 8);
   offset += 4;
-  std::memcpy(blob.data() + sizeof(v2::FileHeader) + 8, &offset, 8);
-  const std::string bad_path = TempPath("v2_align_bad.sqp");
+  std::memcpy(blob.data() + sizeof(v3::FileHeader) + 8, &offset, 8);
+  const std::string bad_path = TempPath("store_align_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -454,11 +454,11 @@ TEST(StoreIoTest, StoreRejectsMisalignedSectionOffset) {
 }
 
 // Byte offset of the section-table row for `id`, or npos.
-size_t FindTableEntry(const std::string& blob, v2::SectionId id) {
+size_t FindTableEntry(const std::string& blob, v3::SectionId id) {
   uint32_t count = 0;
   std::memcpy(&count, blob.data() + 12, 4);  // FileHeader::section_count
   for (uint32_t i = 0; i < count; ++i) {
-    const size_t entry = sizeof(v2::FileHeader) + i * sizeof(v2::SectionEntry);
+    const size_t entry = sizeof(v3::FileHeader) + i * sizeof(v3::SectionEntry);
     uint32_t sid = 0;
     std::memcpy(&sid, blob.data() + entry, 4);
     if (sid == static_cast<uint32_t>(id)) return entry;
@@ -468,7 +468,7 @@ size_t FindTableEntry(const std::string& blob, v2::SectionId id) {
 
 // Recomputes the stored CRC of `id`'s payload after a test patched it,
 // so the corruption under test is the *values*, not the checksum.
-void RepairSectionCrc(std::string* blob, v2::SectionId id) {
+void RepairSectionCrc(std::string* blob, v3::SectionId id) {
   const size_t entry = FindTableEntry(*blob, id);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
@@ -480,19 +480,19 @@ void RepairSectionCrc(std::string* blob, v2::SectionId id) {
 }
 
 TEST(StoreIoTest, StoreRejectsOverflowingDirectoryCount) {
-  const std::string path = TempPath("v2_count.sqp");
+  const std::string path = TempPath("store_count.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
   // A count of 2^59 makes 8 + count*32 wrap back to 8 mod 2^64; the
   // length check must clamp the count instead of overflowing.
-  const size_t entry = FindTableEntry(blob, v2::SectionId::kPostingDir);
+  const size_t entry = FindTableEntry(blob, v3::SectionId::kPostingDir);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
   std::memcpy(&offset, blob.data() + entry + 8, 8);
   const uint64_t huge = uint64_t{1} << 59;
   std::memcpy(blob.data() + offset, &huge, 8);
-  const std::string bad_path = TempPath("v2_count_bad.sqp");
+  const std::string bad_path = TempPath("store_count_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -501,13 +501,13 @@ TEST(StoreIoTest, StoreRejectsOverflowingDirectoryCount) {
 }
 
 TEST(StoreIoTest, StoreRejectsNonMonotonicDictOffsets) {
-  const std::string path = TempPath("v2_mono.sqp");
+  const std::string path = TempPath("store_mono.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
   // Swap offsets[1] upward so [1] > [2] while the blob-end entry stays
   // intact, then re-checksum: a crafted file, not a bit flip.
-  const size_t entry = FindTableEntry(blob, v2::SectionId::kDictOffsets);
+  const size_t entry = FindTableEntry(blob, v3::SectionId::kDictOffsets);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
   std::memcpy(&offset, blob.data() + entry + 8, 8);
@@ -515,8 +515,8 @@ TEST(StoreIoTest, StoreRejectsNonMonotonicDictOffsets) {
   std::memcpy(&off2, blob.data() + offset + 16, 8);  // offsets[2]
   const uint64_t bad = off2 + 7;
   std::memcpy(blob.data() + offset + 8, &bad, 8);  // offsets[1]
-  RepairSectionCrc(&blob, v2::SectionId::kDictOffsets);
-  const std::string bad_path = TempPath("v2_mono_bad.sqp");
+  RepairSectionCrc(&blob, v3::SectionId::kDictOffsets);
+  const std::string bad_path = TempPath("store_mono_bad.sqp");
   WriteFile(bad_path, blob);
 
   // The engine path (eager metadata verification) must reject with a
@@ -530,18 +530,18 @@ TEST(StoreIoTest, StoreRejectsNonMonotonicDictOffsets) {
 }
 
 TEST(StoreIoTest, StoreRejectsOutOfRangePermutationIndex) {
-  const std::string path = TempPath("v2_perm.sqp");
+  const std::string path = TempPath("store_perm.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
-  const size_t entry = FindTableEntry(blob, v2::SectionId::kPosIndex);
+  const size_t entry = FindTableEntry(blob, v3::SectionId::kPosIndex);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
   std::memcpy(&offset, blob.data() + entry + 8, 8);
   const uint32_t oob = 0xFFFFFFFFu;
   std::memcpy(blob.data() + offset, &oob, 4);  // pos[0]
-  RepairSectionCrc(&blob, v2::SectionId::kPosIndex);
-  const std::string bad_path = TempPath("v2_perm_bad.sqp");
+  RepairSectionCrc(&blob, v3::SectionId::kPosIndex);
+  const std::string bad_path = TempPath("store_perm_bad.sqp");
   WriteFile(bad_path, blob);
 
   MmapStore::Options eager;
@@ -555,13 +555,13 @@ TEST(StoreIoTest, StoreRejectsOutOfRangePermutationIndex) {
 }
 
 TEST(StoreIoTest, StoreRejectsUnsortedOrderingInvariants) {
-  const std::string path = TempPath("v2_order.sqp");
+  const std::string path = TempPath("store_order.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string bad = ReadFile(path);
 
   // Swap the first two ids of the lexicographic dictionary permutation
   // and re-checksum: binary-searched Find would silently miss terms.
-  const size_t entry = FindTableEntry(bad, v2::SectionId::kDictSorted);
+  const size_t entry = FindTableEntry(bad, v3::SectionId::kDictSorted);
   ASSERT_NE(entry, std::string::npos);
   uint64_t offset = 0;
   std::memcpy(&offset, bad.data() + entry + 8, 8);
@@ -571,8 +571,8 @@ TEST(StoreIoTest, StoreRejectsUnsortedOrderingInvariants) {
   std::memcpy(&b, bad.data() + offset + 4, 4);
   std::memcpy(bad.data() + offset, &b, 4);
   std::memcpy(bad.data() + offset + 4, &a, 4);
-  RepairSectionCrc(&bad, v2::SectionId::kDictSorted);
-  const std::string bad_path = TempPath("v2_order_dict.sqp");
+  RepairSectionCrc(&bad, v3::SectionId::kDictSorted);
+  const std::string bad_path = TempPath("store_order_dict.sqp");
   WriteFile(bad_path, bad);
 
   auto lazy = MmapStore::Open(bad_path);
@@ -582,7 +582,7 @@ TEST(StoreIoTest, StoreRejectsUnsortedOrderingInvariants) {
 }
 
 TEST(StoreIoTest, StoreRejectsReservedBitsAndUnknownSections) {
-  const std::string path = TempPath("v2_reserved.sqp");
+  const std::string path = TempPath("store_reserved.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
 
@@ -590,8 +590,8 @@ TEST(StoreIoTest, StoreRejectsReservedBitsAndUnknownSections) {
     // Nonzero flags word in the first table row.
     std::string bad = blob;
     const uint32_t flags = 1;
-    std::memcpy(bad.data() + sizeof(v2::FileHeader) + 4, &flags, 4);
-    const std::string bad_path = TempPath("v2_reserved_flags.sqp");
+    std::memcpy(bad.data() + sizeof(v3::FileHeader) + 4, &flags, 4);
+    const std::string bad_path = TempPath("store_reserved_flags.sqp");
     WriteFile(bad_path, bad);
     EXPECT_FALSE(MmapStore::Open(bad_path).ok());
   }
@@ -599,8 +599,8 @@ TEST(StoreIoTest, StoreRejectsReservedBitsAndUnknownSections) {
   // posting-entries id, and one the format never defined.
   for (const uint32_t id : {9u, 999u}) {
     std::string bad = blob;
-    std::memcpy(bad.data() + sizeof(v2::FileHeader), &id, 4);
-    const std::string bad_path = TempPath("v2_reserved_id.sqp");
+    std::memcpy(bad.data() + sizeof(v3::FileHeader), &id, 4);
+    const std::string bad_path = TempPath("store_reserved_id.sqp");
     WriteFile(bad_path, bad);
     auto mapped = MmapStore::Open(bad_path);
     EXPECT_FALSE(mapped.ok()) << "section id " << id;
@@ -627,7 +627,7 @@ struct SectionExtent {
   uint64_t length = 0;
 };
 
-SectionExtent FindSectionExtent(const std::string& blob, v2::SectionId id) {
+SectionExtent FindSectionExtent(const std::string& blob, v3::SectionId id) {
   const size_t entry = FindTableEntry(blob, id);
   EXPECT_NE(entry, std::string::npos);
   SectionExtent extent;
@@ -645,7 +645,7 @@ TEST(StoreIoTest, V3RejectsTruncatedBlockPayload) {
   // padding), then re-checksum the index: the open-time geometry pass must
   // reject before any decode touches the short payload.
   const SectionExtent index =
-      FindSectionExtent(blob, v2::SectionId::kPostingBlockIndex);
+      FindSectionExtent(blob, v3::SectionId::kPostingBlockIndex);
   const uint64_t total_blocks = index.length / sizeof(PostingBlockHeader);
   ASSERT_GT(total_blocks, 1u);
   const size_t last =
@@ -655,7 +655,7 @@ TEST(StoreIoTest, V3RejectsTruncatedBlockPayload) {
   ASSERT_GT(byte_length, 9u);
   byte_length -= 9;
   std::memcpy(blob.data() + last + 8, &byte_length, 4);
-  RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
+  RepairSectionCrc(&blob, v3::SectionId::kPostingBlockIndex);
   const std::string bad_path = TempPath("v3_trunc_bad.sqp");
   WriteFile(bad_path, blob);
 
@@ -671,16 +671,16 @@ TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
   const std::string path = SaveMultiBlockV3("v3_offsets.sqp");
   const std::string blob = ReadFile(path);
   const SectionExtent index =
-      FindSectionExtent(blob, v2::SectionId::kPostingBlockIndex);
+      FindSectionExtent(blob, v3::SectionId::kPostingBlockIndex);
   const SectionExtent payload =
-      FindSectionExtent(blob, v2::SectionId::kPostingBlocks);
+      FindSectionExtent(blob, v3::SectionId::kPostingBlocks);
 
   {
     // First header's byte_offset points past the end of the payload
     // section: any dereference would read out of bounds.
     std::string bad = blob;
     std::memcpy(bad.data() + index.offset, &payload.length, 8);
-    RepairSectionCrc(&bad, v2::SectionId::kPostingBlockIndex);
+    RepairSectionCrc(&bad, v3::SectionId::kPostingBlockIndex);
     const std::string bad_path = TempPath("v3_offsets_begin.sqp");
     WriteFile(bad_path, bad);
     auto mapped = MmapStore::Open(bad_path);
@@ -692,7 +692,7 @@ TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
     std::string bad = blob;
     const uint32_t huge = static_cast<uint32_t>(payload.length) + 64;
     std::memcpy(bad.data() + index.offset + 8, &huge, 4);
-    RepairSectionCrc(&bad, v2::SectionId::kPostingBlockIndex);
+    RepairSectionCrc(&bad, v3::SectionId::kPostingBlockIndex);
     const std::string bad_path = TempPath("v3_offsets_len.sqp");
     WriteFile(bad_path, bad);
     auto mapped = MmapStore::Open(bad_path);
@@ -710,7 +710,7 @@ TEST(StoreIoTest, V3RejectsMaxScoreInconsistentWithContents) {
   // check passes — only decoding the block can see that max_score is no
   // longer bit-equal to its first entry's score.
   const SectionExtent index =
-      FindSectionExtent(blob, v2::SectionId::kPostingBlockIndex);
+      FindSectionExtent(blob, v3::SectionId::kPostingBlockIndex);
   const uint64_t total_blocks = index.length / sizeof(PostingBlockHeader);
   const size_t last =
       index.offset + (total_blocks - 1) * sizeof(PostingBlockHeader);
@@ -719,7 +719,7 @@ TEST(StoreIoTest, V3RejectsMaxScoreInconsistentWithContents) {
   ASSERT_NE(bits, 0u);  // normalised scores are positive
   bits -= 1;
   std::memcpy(blob.data() + last + 16, &bits, 8);
-  RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
+  RepairSectionCrc(&blob, v3::SectionId::kPostingBlockIndex);
   const std::string bad_path = TempPath("v3_ceiling_bad.sqp");
   WriteFile(bad_path, blob);
 
@@ -744,7 +744,7 @@ TEST(StoreIoTest, V3RejectsMisalignedBlockBoundaries) {
 
   // Find a directory row spanning several blocks; declaring its first
   // block short would misalign every boundary after it.
-  const SectionExtent dir = FindSectionExtent(blob, v2::SectionId::kPostingDir);
+  const SectionExtent dir = FindSectionExtent(blob, v3::SectionId::kPostingDir);
   uint64_t dir_count = 0;
   std::memcpy(&dir_count, blob.data() + dir.offset, 8);
   uint64_t block_begin = 0;
@@ -759,14 +759,14 @@ TEST(StoreIoTest, V3RejectsMisalignedBlockBoundaries) {
   ASSERT_TRUE(found) << "no multi-block posting list in the fixture";
 
   const SectionExtent index =
-      FindSectionExtent(blob, v2::SectionId::kPostingBlockIndex);
+      FindSectionExtent(blob, v3::SectionId::kPostingBlockIndex);
   // In range (so the entry-count check passes) but not a full block: the
   // misaligned-boundary check must catch it.
   const uint16_t short_count = 33;
   std::memcpy(
       blob.data() + index.offset + block_begin * sizeof(PostingBlockHeader) + 12,
       &short_count, 2);
-  RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
+  RepairSectionCrc(&blob, v3::SectionId::kPostingBlockIndex);
   const std::string bad_path = TempPath("v3_boundary_bad.sqp");
   WriteFile(bad_path, blob);
 
@@ -791,7 +791,7 @@ TEST(StoreIoTest, V3OmitsSpoIndexAndSynthesisesIt) {
   constexpr uint32_t kRetiredSpoIndexId = 5;
   const std::string blob = ReadFile(path);
   EXPECT_EQ(
-      FindTableEntry(blob, static_cast<v2::SectionId>(kRetiredSpoIndexId)),
+      FindTableEntry(blob, static_cast<v3::SectionId>(kRetiredSpoIndexId)),
       std::string::npos);
 
   // ...and subject-bound lookups (the SPO index's consumers) still agree
@@ -814,7 +814,7 @@ TEST(StoreIoTest, V3OmitsSpoIndexAndSynthesisesIt) {
   // Graft a fake SPO table entry by flipping an existing section's id; the
   // simpler, spec-level contract is just that Open rejects the combination,
   // exercised via the pos-index row.
-  const size_t pos_entry = FindTableEntry(padded, v2::SectionId::kPosIndex);
+  const size_t pos_entry = FindTableEntry(padded, v3::SectionId::kPosIndex);
   ASSERT_NE(pos_entry, std::string::npos);
   std::memcpy(padded.data() + pos_entry, &kRetiredSpoIndexId, 4);
   const std::string bad_path = TempPath("v3_with_spo.sqp");
