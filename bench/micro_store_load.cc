@@ -209,6 +209,10 @@ void Run(Json& out) {
   const std::string query_text =
       "SELECT ?s WHERE { ?s <predicate/0> <object/0> . "
       "?s <predicate/1> <object/1> }";
+  // The untimed parsed query runs first, so the timed first queries below
+  // time a store's first query, not the process's first query.
+  auto parsed_rows = RunTextQuery(*parsed_engine.value().engine, query_text,
+                                  /*k=*/10, Strategy::kNoRelax);
   WallTimer first_query_timer;
   auto mapped_v3_rows = RunTextQuery(*mapped_v3_engine.value().engine,
                                      query_text, /*k=*/10, Strategy::kNoRelax);
@@ -217,8 +221,6 @@ void Run(Json& out) {
   auto sharded_rows = RunTextQuery(*sharded_engine.value().engine, query_text,
                                    /*k=*/10, Strategy::kNoRelax);
   const double bundle_first_query_ms = first_query_timer.ElapsedMillis();
-  auto parsed_rows = RunTextQuery(*parsed_engine.value().engine, query_text,
-                                  /*k=*/10, Strategy::kNoRelax);
   SPECQP_CHECK(mapped_v3_rows.ok() && sharded_rows.ok() && parsed_rows.ok());
   auto rows_match = [](const Engine::QueryResult& a,
                        const Engine::QueryResult& b) {
