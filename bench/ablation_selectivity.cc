@@ -35,11 +35,12 @@ ModeResult RunMode(const XkgBundle& xkg, SelectivityEstimator::Mode mode,
     const Query& query = xkg.workload[qi];
     engine.Warm(query);
     for (size_t k : kTopKs) {
+      const QueryRequest request = QueryRequest::FromQuery(query, k);
       WallTimer timer;
-      QueryPlan plan = engine.PlanOnly(query, k);
+      const QueryResponse planned = engine.Explain(request);
       plan_ms_total += timer.ElapsedMillis();
       ++plans;
-      std::vector<size_t> predicted = plan.singletons;
+      std::vector<size_t> predicted = planned.plan.singletons;
       std::sort(predicted.begin(), predicted.end());
       if (predicted == required_by_query[qi].at(k)) ++correct[k];
     }

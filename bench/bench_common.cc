@@ -131,42 +131,28 @@ EngineOptions MakeEngineOptions() {
 
 bool BatchModeRequested() { return g_bench_config.batch; }
 
-namespace {
-
-Engine::QueryResult UnpackResponse(QueryResponse response) {
-  Engine::QueryResult result;
-  result.plan = std::move(response.plan);
-  result.diagnostics = std::move(response.diagnostics);
-  result.rows = std::move(response.rows);
-  result.stats = response.stats;
-  return result;
-}
-
-}  // namespace
-
-Engine::QueryResult RunQuery(Engine& engine, const Query& query, size_t k,
-                             Strategy strategy) {
+QueryResponse ExecuteQuery(Engine& engine, const Query& query, size_t k,
+                           Strategy strategy) {
   QueryRequest request = QueryRequest::FromQuery(query, k, strategy);
   request.admission = QueryRequest::Admission::kImmediate;
   QueryResponse response = engine.Submit(std::move(request)).get();
   SPECQP_CHECK(response.status.ok()) << response.status.ToString();
-  return UnpackResponse(std::move(response));
+  return response;
 }
 
-Result<Engine::QueryResult> RunTextQuery(Engine& engine,
-                                         const std::string& text, size_t k,
-                                         Strategy strategy) {
+Result<QueryResponse> ExecuteTextQuery(Engine& engine, const std::string& text,
+                                       size_t k, Strategy strategy) {
   QueryRequest request = QueryRequest::FromText(text, k, strategy);
   request.admission = QueryRequest::Admission::kImmediate;
   QueryResponse response = engine.Submit(std::move(request)).get();
   if (!response.status.ok()) return response.status;
-  return UnpackResponse(std::move(response));
+  return response;
 }
 
-std::vector<Engine::QueryResult> RunBatch(Engine& engine,
-                                          std::span<const Query> queries,
-                                          size_t k, Strategy strategy,
-                                          BatchStats* batch_stats) {
+std::vector<QueryResponse> ExecuteBatch(Engine& engine,
+                                        std::span<const Query> queries,
+                                        size_t k, Strategy strategy,
+                                        BatchStats* batch_stats) {
   BatchExecutor batch(&engine);
   return batch.Execute(queries, k, strategy, batch_stats);
 }
@@ -608,17 +594,17 @@ void RunEfficiencyFigure(const std::string& title, Engine& engine,
       // the per-k `batch` object tracks the steady-state amortisation of
       // shared scans and duplicate collapsing across the workload.
       WallTimer seq_timer;
-      std::vector<Engine::QueryResult> sequential_results;
+      std::vector<QueryResponse> sequential_results;
       sequential_results.reserve(workload.size());
       for (const Query& query : workload) {
         sequential_results.push_back(
-            RunQuery(engine, query, k, Strategy::kSpecQp));
+            ExecuteQuery(engine, query, k, Strategy::kSpecQp));
       }
       const double sequential_ms = seq_timer.ElapsedMillis();
       WallTimer batch_timer;
       BatchStats batch_stats;
       const auto batch_results =
-          RunBatch(engine, workload, k, Strategy::kSpecQp, &batch_stats);
+          ExecuteBatch(engine, workload, k, Strategy::kSpecQp, &batch_stats);
       const double batched_ms = batch_timer.ElapsedMillis();
       // Bit-equality per query (bindings AND scores), not just counts —
       // this is the determinism contract the artifact certifies.

@@ -57,15 +57,14 @@ EngineOptions MakeEngineOptions();
 // status CHECKed — nothing on the pre-parsed path can fail), a
 // BatchExecutor per pre-assembled batch. Text parse errors surface as the
 // Result's status.
-Engine::QueryResult RunQuery(Engine& engine, const Query& query, size_t k,
-                             Strategy strategy);
-Result<Engine::QueryResult> RunTextQuery(Engine& engine,
-                                         const std::string& text, size_t k,
-                                         Strategy strategy);
-std::vector<Engine::QueryResult> RunBatch(Engine& engine,
-                                          std::span<const Query> queries,
-                                          size_t k, Strategy strategy,
-                                          BatchStats* batch_stats = nullptr);
+QueryResponse ExecuteQuery(Engine& engine, const Query& query, size_t k,
+                           Strategy strategy);
+Result<QueryResponse> ExecuteTextQuery(Engine& engine, const std::string& text,
+                                       size_t k, Strategy strategy);
+std::vector<QueryResponse> ExecuteBatch(Engine& engine,
+                                        std::span<const Query> queries,
+                                        size_t k, Strategy strategy,
+                                        BatchStats* batch_stats = nullptr);
 
 // True when --batch was passed: workload benches also measure batched
 // execution.

@@ -30,7 +30,7 @@ RunStats RunWorkload(Engine& engine, const std::vector<Query>& workload,
   RunStats stats;
   for (const Query& query : workload) {
     engine.Warm(query);
-    const Engine::QueryResult result = RunQuery(engine, query, k, strategy);
+    const QueryResponse result = ExecuteQuery(engine, query, k, strategy);
     stats.filled.Add(static_cast<double>(result.rows.size()) /
                      static_cast<double>(k));
     stats.top_score.Add(result.rows.empty() ? 0.0 : result.rows[0].score);

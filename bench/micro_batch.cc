@@ -128,8 +128,8 @@ Engine::Opened OpenEngine(const BatchFixture& fx) {
   return std::move(opened).value();
 }
 
-bool RowsIdentical(const std::vector<Engine::QueryResult>& a,
-                   const std::vector<Engine::QueryResult>& b) {
+bool RowsIdentical(const std::vector<QueryResponse>& a,
+                   const std::vector<QueryResponse>& b) {
   if (a.size() != b.size()) return false;
   for (size_t q = 0; q < a.size(); ++q) {
     if (a[q].rows.size() != b[q].rows.size()) return false;
@@ -170,30 +170,30 @@ void Run(Json& out) {
     // batch amortises scan building, statistics, and duplicate queries.
     Engine::Opened sequential_engine = OpenEngine(fx);
     WallTimer seq_timer;
-    std::vector<Engine::QueryResult> sequential_results;
+    std::vector<QueryResponse> sequential_results;
     sequential_results.reserve(workload.size());
     for (const Query& query : workload) {
       sequential_results.push_back(
-          RunQuery(*sequential_engine.engine, query, kTopK, strategy));
+          ExecuteQuery(*sequential_engine.engine, query, kTopK, strategy));
     }
     const double sequential_cold_ms = seq_timer.ElapsedMillis();
 
     Engine::Opened batch_engine = OpenEngine(fx);
     WallTimer batch_timer;
     BatchStats batch_stats;
-    const auto batched_results = RunBatch(*batch_engine.engine, workload,
-                                          kTopK, strategy, &batch_stats);
+    const auto batched_results = ExecuteBatch(*batch_engine.engine, workload,
+                                              kTopK, strategy, &batch_stats);
     const double batched_cold_ms = batch_timer.ElapsedMillis();
 
     // Warm repeats on the same engines (caches and memos populated).
     WallTimer seq_warm_timer;
     for (const Query& query : workload) {
-      RunQuery(*sequential_engine.engine, query, kTopK, strategy);
+      ExecuteQuery(*sequential_engine.engine, query, kTopK, strategy);
     }
     const double sequential_warm_ms = seq_warm_timer.ElapsedMillis();
     WallTimer batch_warm_timer;
     BatchStats warm_stats;
-    RunBatch(*batch_engine.engine, workload, kTopK, strategy, &warm_stats);
+    ExecuteBatch(*batch_engine.engine, workload, kTopK, strategy, &warm_stats);
     const double batched_warm_ms = batch_warm_timer.ElapsedMillis();
 
     const bool match = RowsIdentical(sequential_results, batched_results);

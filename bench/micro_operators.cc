@@ -518,11 +518,13 @@ void Run(Json& out) {
     }
     query.AddProjection(s);
     engine.Warm(query);
-    (void)engine.PlanOnly(query, 10);  // warm the stats/selectivity memos
+    // Built once, outside the timed body, so the rows time planning only.
+    const QueryRequest request = QueryRequest::FromQuery(query, 10);
+    (void)engine.Explain(request);  // warm the stats/selectivity memos
     results.push_back(RunMicro(
         StrFormat("plangen_latency/patterns:%zu", num_patterns), [&] {
-          QueryPlan plan = engine.PlanOnly(query, 10);
-          DoNotOptimize(plan.singletons.data());
+          const QueryResponse planned = engine.Explain(request);
+          DoNotOptimize(planned.plan.singletons.data());
         }));
   }
 
@@ -539,7 +541,7 @@ void Run(Json& out) {
         StrFormat("end_to_end_query/%s",
                   speculative ? "spec_qp" : "trinit"),
         [&] {
-          const auto result = RunQuery(
+          const auto result = ExecuteQuery(
               engine, query, 10,
               speculative ? Strategy::kSpecQp : Strategy::kTrinit);
           DoNotOptimize(result.rows.data());
@@ -578,7 +580,7 @@ void Run(Json& out) {
       for (int r = 0; r < reps; ++r) {
         for (const Query& query : rf.queries) {
           WallTimer timer;
-          const auto result = RunQuery(engine, query, k, Strategy::kSpecQp);
+          const auto result = ExecuteQuery(engine, query, k, Strategy::kSpecQp);
           ms.push_back(timer.ElapsedMillis());
           *total += result.stats;
           DoNotOptimize(result.rows.data());

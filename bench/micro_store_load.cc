@@ -211,19 +211,21 @@ void Run(Json& out) {
       "?s <predicate/1> <object/1> }";
   // The untimed parsed query runs first, so the timed first queries below
   // time a store's first query, not the process's first query.
-  auto parsed_rows = RunTextQuery(*parsed_engine.value().engine, query_text,
-                                  /*k=*/10, Strategy::kNoRelax);
+  auto parsed_rows = ExecuteTextQuery(*parsed_engine.value().engine,
+                                      query_text, /*k=*/10, Strategy::kNoRelax);
   WallTimer first_query_timer;
-  auto mapped_v3_rows = RunTextQuery(*mapped_v3_engine.value().engine,
-                                     query_text, /*k=*/10, Strategy::kNoRelax);
+  auto mapped_v3_rows = ExecuteTextQuery(*mapped_v3_engine.value().engine,
+                                         query_text, /*k=*/10,
+                                         Strategy::kNoRelax);
   const double mmap_v3_first_query_ms = first_query_timer.ElapsedMillis();
   first_query_timer.Reset();
-  auto sharded_rows = RunTextQuery(*sharded_engine.value().engine, query_text,
-                                   /*k=*/10, Strategy::kNoRelax);
+  auto sharded_rows = ExecuteTextQuery(*sharded_engine.value().engine,
+                                       query_text, /*k=*/10,
+                                       Strategy::kNoRelax);
   const double bundle_first_query_ms = first_query_timer.ElapsedMillis();
   SPECQP_CHECK(mapped_v3_rows.ok() && sharded_rows.ok() && parsed_rows.ok());
-  auto rows_match = [](const Engine::QueryResult& a,
-                       const Engine::QueryResult& b) {
+  auto rows_match = [](const QueryResponse& a,
+                       const QueryResponse& b) {
     if (a.rows.size() != b.rows.size()) return false;
     for (size_t i = 0; i < a.rows.size(); ++i) {
       if (a.rows[i].bindings != b.rows[i].bindings ||
@@ -382,9 +384,9 @@ void Run(Json& out) {
           << degraded_engine.status().ToString();
       FaultInjector::Global().Disarm();
       WallTimer query_timer;
-      auto degraded_rows = RunTextQuery(*degraded_engine.value().engine,
-                                        query_text, /*k=*/10,
-                                        Strategy::kNoRelax);
+      auto degraded_rows = ExecuteTextQuery(*degraded_engine.value().engine,
+                                            query_text, /*k=*/10,
+                                            Strategy::kNoRelax);
       degraded_first_query_ms = query_timer.ElapsedMillis();
       SPECQP_CHECK(degraded_rows.ok()) << degraded_rows.status().ToString();
       shards_failed = degraded_rows.value().stats.shards_failed;

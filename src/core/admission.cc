@@ -4,16 +4,21 @@
 
 #include "core/batch_executor.h"
 #include "core/engine.h"
-#include "query/parser.h"
 #include "util/logging.h"
 
 namespace specqp {
 
-AdmissionController::AdmissionController(Engine* engine,
-                                         const Options& options)
-    : engine_(engine), options_(options) {
+namespace {
+
+// The longest an open window waits for more requests, in milliseconds.
+double MaxDelayMs(const EngineOptions& options) {
+  return std::max(0.0, options.admission_max_delay_ms);
+}
+
+}  // namespace
+
+AdmissionController::AdmissionController(Engine* engine) : engine_(engine) {
   SPECQP_CHECK(engine_ != nullptr);
-  SPECQP_CHECK(options_.max_batch_size >= 1);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -28,7 +33,13 @@ AdmissionController::~AdmissionController() {
   // no promise is ever abandoned.
 }
 
+bool AdmissionController::QueueFullLocked() const {
+  const size_t cap = engine_->options().admission_max_queue;
+  return cap > 0 && queued_ >= cap;
+}
+
 std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
+  const EngineOptions& options = engine_->options();
   // Submit-time terminations complete the future immediately, without
   // touching the window state. Overload sheds additionally charge their
   // own Stats counter (they still count as rejected_at_submit, so the
@@ -50,81 +61,58 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
     promise.set_value(std::move(response));
     return promise.get_future();
   };
+  auto shed_queue_full = [&](QueryResponse response) {
+    response.status = Status::ResourceExhausted("admission queue full");
+    response.retry_after_ms = std::max(0.0, options.admission_retry_after_ms);
+    return reject(std::move(response), &Stats::shed_queue_full);
+  };
 
-  QueryResponse shell;
-  shell.tag = request.tag;
-  shell.strategy = request.strategy;
-  shell.k = request.k;
-
-  if (request.k < 1) {
-    shell.status = Status::InvalidArgument("k must be >= 1");
-    return reject(std::move(shell));
-  }
   // Queue-depth shedding happens before parsing: overload protection must
   // be cheaper than the work it sheds.
-  if (options_.max_queue_depth > 0) {
-    bool shed = false;
-    {
-      MutexLock lock(mu_);
-      shed = queued_ >= options_.max_queue_depth;
-    }
-    if (shed) {
-      shell.status = Status::ResourceExhausted("admission queue full");
-      shell.retry_after_ms =
-          static_cast<double>(options_.retry_after_hint.count()) / 1000.0;
-      return reject(std::move(shell), &Stats::shed_queue_full);
-    }
+  bool full = false;
+  if (options.admission_max_queue > 0) {
+    MutexLock lock(mu_);
+    full = QueueFullLocked();
   }
-  Query query;
-  if (request.query.has_value()) {
-    query = std::move(*request.query);
-    request.query.reset();
-  } else {
-    // Parse on the submitting thread (fail fast; the dictionary is
-    // read-only after Finalize, so concurrent parses are safe).
-    auto parsed = ParseQuery(request.text, engine_->store().dict());
-    if (!parsed.ok()) {
-      shell.status = parsed.status();
-      return reject(std::move(shell));
-    }
-    query = std::move(parsed).value();
+  QueryResponse response;
+  if (full) {
+    response.tag = request.tag;
+    response.strategy = request.strategy;
+    response.k = request.k;
+    return shed_queue_full(std::move(response));
   }
-  if (request.cancel.cancelled()) {
-    shell.status = Status::Cancelled("cancelled before admission");
-    return reject(std::move(shell));
-  }
-  // A dead-on-arrival deadline terminates now rather than stalling in a
-  // window that may not close for a long max_delay.
-  if (request.deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *request.deadline) {
-    shell.status =
-        Status::DeadlineExceeded("deadline expired before admission");
-    return reject(std::move(shell));
+  // Parses on the submitting thread (fail fast; the dictionary is
+  // read-only after Finalize, so concurrent parses are safe).
+  Query parsed;
+  const Query* query = engine_->Resolve(request, &parsed, &response);
+  if (query == nullptr) return reject(std::move(response));
+  // A cancelled token or a dead-on-arrival deadline terminates now rather
+  // than stalling in a window that may not close for a long max_delay.
+  auto interrupt = std::make_unique<ExecInterrupt>();
+  if (!ArmInterrupt(request, interrupt.get())) interrupt.reset();
+  if (interrupt != nullptr &&
+      (interrupt->Stopped() || interrupt->CheckDeadline())) {
+    response.status = StopStatus(interrupt->cause());
+    return reject(std::move(response));
   }
   // Deadline-aware shedding: a deadline that cannot outlast the
   // worst-case window delay would only be DOA'd at dispatch. Shed it now
   // so the caller learns immediately; retry_after_ms stays 0 because
   // resubmitting the same deadline cannot help.
-  if (options_.deadline_aware_shed && request.deadline.has_value() &&
+  if (options.admission_deadline_shed && request.deadline.has_value() &&
       *request.deadline <
-          std::chrono::steady_clock::now() + options_.max_delay) {
-    shell.status = Status::ResourceExhausted(
+          std::chrono::steady_clock::now() +
+              std::chrono::duration<double, std::milli>(MaxDelayMs(options))) {
+    response.status = Status::ResourceExhausted(
         "deadline shorter than the admission window delay");
-    shell.retry_after_ms = 0.0;
-    return reject(std::move(shell), &Stats::shed_deadline);
+    return reject(std::move(response), &Stats::shed_deadline);
   }
 
   Pending pending;
-  pending.query = std::move(query);
-  if (request.cancel.valid() || request.deadline.has_value()) {
-    pending.interrupt = std::make_unique<ExecInterrupt>();
-    if (request.cancel.valid()) {
-      pending.interrupt->LinkCancelFlag(request.cancel.flag());
-    }
-    if (request.deadline.has_value()) {
-      pending.interrupt->SetDeadline(*request.deadline);
-    }
-  }
+  pending.query = query == &parsed ? std::move(parsed)
+                                   : std::move(*request.query);
+  request.query.reset();
+  pending.interrupt = std::move(interrupt);
   pending.request = std::move(request);
   std::future<QueryResponse> future = pending.promise.get_future();
 
@@ -133,22 +121,28 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
   bool wake_dispatcher = false;
   {
     MutexLock lock(mu_);
-    ++stats_.submitted;
-    ++queued_;  // balanced in DispatchWindow, once fulfilled
-    Window& window = open_[key];
-    if (window.pending.empty()) {
-      window.id = ++next_window_id_;
-      window.age.Reset();
-      wake_dispatcher = true;  // dispatcher must learn the new delay bound
-    }
-    window.pending.push_back(std::move(pending));
-    if (window.pending.size() >= options_.max_batch_size) {
-      auto node = open_.extract(key);
-      CloseWindowLocked(key, std::move(node.mapped()),
-                        &Stats::closed_on_size);
-      wake_dispatcher = true;
+    // Checked again where the slot is taken: concurrent submitters may all
+    // have passed the early check before any of them enqueued.
+    full = QueueFullLocked();
+    if (!full) {
+      ++stats_.submitted;
+      ++queued_;  // balanced in DispatchWindow, once fulfilled
+      Window& window = open_[key];
+      if (window.pending.empty()) {
+        window.id = ++next_window_id_;
+        window.age.Reset();
+        wake_dispatcher = true;  // dispatcher must learn the new delay bound
+      }
+      window.pending.push_back(std::move(pending));
+      if (window.pending.size() >= options.admission_max_batch) {
+        auto node = open_.extract(key);
+        CloseWindowLocked(key, std::move(node.mapped()),
+                          &Stats::closed_on_size);
+        wake_dispatcher = true;
+      }
     }
   }
+  if (full) return shed_queue_full(std::move(response));
   if (wake_dispatcher) cv_.NotifyAll();
   return future;
 }
@@ -185,8 +179,7 @@ void AdmissionController::DispatcherLoop() {
   mu_.Lock();
   while (true) {
     // Move delay-expired windows to the closed queue.
-    const double max_delay_ms =
-        static_cast<double>(options_.max_delay.count()) / 1000.0;
+    const double max_delay_ms = MaxDelayMs(engine_->options());
     for (auto it = open_.begin(); it != open_.end();) {
       if (!it->second.pending.empty() &&
           it->second.age.ElapsedMillis() >= max_delay_ms) {
@@ -239,26 +232,6 @@ void AdmissionController::DispatcherLoop() {
   mu_.Unlock();
 }
 
-Status AdmissionController::TerminalStatus(const Pending& pending) {
-  if (pending.interrupt != nullptr && pending.interrupt->Stopped()) {
-    switch (pending.interrupt->cause()) {
-      case StopCause::kCancelled:
-        return Status::Cancelled("query cancelled");
-      case StopCause::kStoreFault:
-        return Status::IoError("backing store faulted during execution");
-      default:
-        return Status::DeadlineExceeded("query deadline exceeded");
-    }
-  }
-  if (pending.request.cancel.cancelled()) {
-    return Status::Cancelled("query cancelled");
-  }
-  if (pending.interrupt != nullptr && pending.interrupt->CheckDeadline()) {
-    return Status::DeadlineExceeded("query deadline exceeded");
-  }
-  return Status::Ok();
-}
-
 void AdmissionController::DispatchWindow(WindowKey key, Window window) {
   const size_t k = key.first;
   const Strategy strategy = static_cast<Strategy>(key.second);
@@ -288,7 +261,7 @@ void AdmissionController::DispatchWindow(WindowKey key, Window window) {
     pending.admission_ms = pending.queued.ElapsedMillis();
     if (pending.interrupt != nullptr &&
         (pending.interrupt->Stopped() || pending.interrupt->CheckDeadline())) {
-      continue;  // fulfilled below via TerminalStatus
+      continue;  // fulfilled below by Finish
     }
     if (!serving_status.ok()) {
       continue;  // fulfilled below with the serving refusal
@@ -298,11 +271,11 @@ void AdmissionController::DispatchWindow(WindowKey key, Window window) {
     interrupts.push_back(pending.interrupt.get());
   }
 
-  std::vector<Engine::QueryResult> results;
+  std::vector<QueryResponse> responses;
   BatchStats batch_stats;
   if (!queries.empty()) {
     BatchExecutor batch(engine_);
-    results = batch.Execute(queries, k, strategy, &batch_stats, interrupts);
+    responses = batch.Execute(queries, k, strategy, &batch_stats, interrupts);
   }
 
   {
@@ -319,51 +292,23 @@ void AdmissionController::DispatchWindow(WindowKey key, Window window) {
   for (size_t i = 0; i < window.pending.size(); ++i) {
     Pending& pending = window.pending[i];
     QueryResponse response;
-    response.tag = pending.request.tag;
+    if (next_live < live.size() && live[next_live] == i) {
+      response = std::move(responses[next_live++]);
+    } else {
+      response.status = serving_status;  // unless stopped (Finish below)
+    }
+    // The window's degraded-read ledger rides on every response; Finish
+    // drops aborted answers and invalidates one a mid-window fault may
+    // have mixed (kIoError).
+    response.partial = serving.partial;
+    response.stats.shards_failed = serving.stats.shards_failed;
+    response.stats.shards_total = serving.stats.shards_total;
+    engine_->Finish(pending.interrupt.get(), fault_epoch, &response);
+    response.tag = std::move(pending.request.tag);
     response.strategy = strategy;
     response.k = k;
     response.window_size = window.pending.size();
     response.admission_ms = pending.admission_ms;
-
-    const bool executed =
-        next_live < live.size() && live[next_live] == i;
-    if (executed) {
-      Engine::QueryResult& result = results[next_live];
-      ++next_live;
-      response.status = TerminalStatus(pending);
-      if (response.status.ok()) {
-        response.plan = std::move(result.plan);
-        response.diagnostics = std::move(result.diagnostics);
-        response.rows = std::move(result.rows);
-        response.stats = result.stats;
-        // Degraded-read ledger rides on every answer from a store with
-        // quarantined shards; a fault that landed mid-window invalidates
-        // the answer (PostflightServing surfaces it as kIoError).
-        response.partial = serving.partial;
-        response.stats.shards_failed = std::max(
-            response.stats.shards_failed, serving.stats.shards_failed);
-        response.stats.shards_total = std::max(
-            response.stats.shards_total, serving.stats.shards_total);
-        const Status post =
-            engine_->PostflightServing(fault_epoch, &response);
-        if (!post.ok()) {
-          response.rows.clear();
-          response.partial = false;
-          response.status = post;
-        }
-      }
-      // else: aborted (or terminally late) — no partial rows are returned.
-    } else {
-      response.status = TerminalStatus(pending);
-      if (response.status.ok()) {
-        // Not individually terminal: the whole window was refused by the
-        // serving preflight.
-        SPECQP_DCHECK(!serving_status.ok());
-        response.status = serving_status;
-        response.stats.shards_failed = serving.stats.shards_failed;
-        response.stats.shards_total = serving.stats.shards_total;
-      }
-    }
     {
       MutexLock lock(mu_);
       if (response.status.code() == StatusCode::kCancelled) {

@@ -27,19 +27,22 @@ class Engine;
 // dimensions BatchExecutor shares across a whole batch). A window closes —
 // and is dispatched through the BatchExecutor, so its
 // queries get the shared-scan / duplicate-collapsing / one-snapshot
-// amortisation of PR 4 — when it reaches `max_batch_size` queries or when
-// its oldest submission has waited `max_delay`, whichever happens first.
-// Flush() closes every open window immediately (shutdown, tests, end of a
-// burst).
+// amortisation of batch execution — when it reaches
+// EngineOptions::admission_max_batch queries or when its oldest submission
+// has waited admission_max_delay_ms, whichever happens first. Flush()
+// closes every open window immediately (shutdown, tests, end of a burst).
+// The controller reads its settings from the engine's options.
 //
-// Threading: Submit() never blocks on query execution — it parses, runs
-// the submit-time checks (k >= 1, already-cancelled token, already-expired
-// deadline), enqueues, and returns a future. One background dispatcher thread owns window close and
-// batch execution, so all *planning* stays single-threaded no matter how
-// many threads submit concurrently (the engine's planner memos are not
-// locked); cross-query execution parallelism inside a window still comes
-// from the engine's thread pool. The destructor flushes and drains every
-// pending request before returning — no future is ever abandoned.
+// Threading: Submit() never blocks on query execution — it runs the
+// engine's Resolve step (k >= 1, parse) and the submit-time checks
+// (already-cancelled token, already-expired deadline, overload sheds),
+// enqueues, and returns a future. One background dispatcher thread owns
+// window close and batch execution, so all *planning* stays
+// single-threaded no matter how many threads submit concurrently (the
+// engine's planner memos are not locked); cross-query execution
+// parallelism inside a window still comes from the engine's thread pool.
+// The destructor flushes and drains every pending request before
+// returning — no future is ever abandoned.
 //
 // Cancellation and deadlines ride along: each request with a token or
 // deadline gets an ExecInterrupt that the window's operator trees poll
@@ -51,23 +54,6 @@ class Engine;
 // terminal kCancelled response.
 class AdmissionController {
  public:
-  struct Options {
-    // Window close thresholds. max_batch_size <= 1 degenerates to
-    // per-query windows (still asynchronous, no cross-query sharing).
-    size_t max_batch_size = 16;
-    std::chrono::microseconds max_delay{2000};
-    // Overload shedding: once this many admitted requests are queued or
-    // in dispatch, new Submits are rejected with kResourceExhausted and
-    // QueryResponse::retry_after_ms = retry_after_hint. 0 = never shed.
-    size_t max_queue_depth = 0;
-    // Deadline-aware shedding: a request whose deadline cannot outlast
-    // the worst-case window delay (it would only be DOA'd at dispatch) is
-    // rejected at submit with kResourceExhausted and retry_after_ms = 0
-    // (retrying the same deadline cannot help).
-    bool deadline_aware_shed = false;
-    std::chrono::microseconds retry_after_hint{5000};
-  };
-
   // Counters since construction (snapshot under the controller's lock).
   struct Stats {
     uint64_t submitted = 0;           // requests accepted into windows
@@ -85,7 +71,7 @@ class AdmissionController {
     uint64_t shed_deadline = 0;       // rejected: deadline cannot be met
   };
 
-  AdmissionController(Engine* engine, const Options& options);
+  explicit AdmissionController(Engine* engine);
   ~AdmissionController();  // flushes and drains; joins the dispatcher
 
   AdmissionController(const AdmissionController&) = delete;
@@ -94,8 +80,11 @@ class AdmissionController {
   // Admits one request. Returns immediately; the future completes once the
   // request's window has been dispatched (or the request was terminated at
   // submit/dispatch time: parse error, k == 0, already-cancelled token,
-  // already-expired deadline). Discarding the future loses the only handle
-  // on the response, hence [[nodiscard]].
+  // already-expired deadline, overload shed). Queue-depth shedding
+  // (admission_max_queue) holds under any number of concurrent
+  // submitters: the cap is checked once before parsing, so overload is
+  // shed cheaply, and again where the request is enqueued. Discarding the
+  // future loses the only handle on the response, hence [[nodiscard]].
   [[nodiscard]] std::future<QueryResponse> Submit(QueryRequest request);
 
   // Closes every open window now and hands it to the dispatcher. Does not
@@ -140,16 +129,15 @@ class AdmissionController {
   void CloseWindowLocked(const WindowKey& key, Window window,
                          uint64_t Stats::*counter) SPECQP_REQUIRES(mu_);
 
+  // True when admission_max_queue is set and the queue is at it.
+  bool QueueFullLocked() const SPECQP_REQUIRES(mu_);
+
   void DispatcherLoop();
   // Executes one closed window and fulfills its promises. Runs on the
   // dispatcher thread only.
   void DispatchWindow(WindowKey key, Window window);
-  // The terminal status of one request observed `now-ish`: cancellation
-  // wins over deadline expiry, which wins over OK.
-  [[nodiscard]] static Status TerminalStatus(const Pending& pending);
 
   Engine* engine_;
-  Options options_;
 
   mutable Mutex mu_;
   CondVar cv_;
@@ -158,7 +146,7 @@ class AdmissionController {
   // Closed windows awaiting dispatch.
   std::vector<std::pair<WindowKey, Window>> closed_ SPECQP_GUARDED_BY(mu_);
   // Admitted requests not yet fulfilled (queued or in dispatch); the
-  // depth max_queue_depth sheds against.
+  // depth admission_max_queue sheds against.
   size_t queued_ SPECQP_GUARDED_BY(mu_) = 0;
   uint64_t next_window_id_ SPECQP_GUARDED_BY(mu_) = 0;
   bool stop_ SPECQP_GUARDED_BY(mu_) = false;

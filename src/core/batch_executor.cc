@@ -8,7 +8,6 @@
 
 #include "rdf/shared_scan_cache.h"
 #include "relax/expansion.h"
-#include "topk/top_k.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -50,14 +49,7 @@ BatchExecutor::BatchExecutor(Engine* engine) : engine_(engine) {
   SPECQP_CHECK(engine_ != nullptr);
 }
 
-std::vector<Engine::QueryResult> BatchExecutor::Execute(
-    std::span<const Query> queries, size_t k, Strategy strategy,
-    BatchStats* batch_stats) {
-  return Execute(queries, k, strategy, batch_stats,
-                 std::span<const ExecInterrupt* const>());
-}
-
-std::vector<Engine::QueryResult> BatchExecutor::Execute(
+std::vector<QueryResponse> BatchExecutor::Execute(
     std::span<const Query> queries, size_t k, Strategy strategy,
     BatchStats* batch_stats, std::span<const ExecInterrupt* const> interrupts) {
   SPECQP_CHECK(k >= 1);
@@ -67,8 +59,8 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   bs = BatchStats();
   bs.batch_size = queries.size();
 
-  std::vector<Engine::QueryResult> results(queries.size());
-  if (queries.empty()) return results;
+  std::vector<QueryResponse> responses(queries.size());
+  if (queries.empty()) return responses;
 
   // --- phase 1: collapse structurally identical queries -------------------
   std::unordered_map<std::string, size_t> canon;  // encoding -> distinct id
@@ -85,8 +77,8 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
 
   // --- phase 2: mine expansions + shared-scan plan + stats snapshot -------
   WallTimer prepare_timer;
-  RelaxationExpansionCache expansions(engine_->rules_);
-  SharedScanCache shared(engine_->store_, &engine_->postings_);
+  RelaxationExpansionCache expansions(&engine_->rules());
+  SharedScanCache shared(&engine_->store(), &engine_->postings());
 
   // The planning wave: every original pattern key, plus — per strategy —
   // the relaxation keys planning or execution is guaranteed to read.
@@ -123,7 +115,7 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
     // plan just resolved (Prepare published derived lists into the engine
     // cache, so GetStats never rebuilds them).
     for (const PatternKey& key : wave) {
-      engine_->catalog_.GetStats(key);
+      engine_->catalog().GetStats(key);
     }
     bs.stats_snapshot_patterns = wave.size();
   }
@@ -132,22 +124,9 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   // --- phase 3: plan every distinct query (serial; memos are warm) --------
   WallTimer plan_phase_timer;
   for (const size_t slot : rep_slot) {
-    Engine::QueryResult& result = results[slot];
-    WallTimer plan_timer;
-    switch (strategy) {
-      case Strategy::kSpecQp:
-        result.plan =
-            engine_->planner_.Plan(queries[slot], k, &result.diagnostics);
-        break;
-      case Strategy::kTrinit:
-        result.plan = QueryPlan::TrinitPlan(queries[slot].num_patterns());
-        break;
-      case Strategy::kNoRelax:
-        result.plan =
-            QueryPlan::NoRelaxationsPlan(queries[slot].num_patterns());
-        break;
-    }
-    result.stats.plan_ms = plan_timer.ElapsedMillis();
+    responses[slot].strategy = strategy;
+    responses[slot].k = k;
+    engine_->Plan(queries[slot], &responses[slot]);
   }
   bs.plan_ms = plan_phase_timer.ElapsedMillis();
 
@@ -156,7 +135,7 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
     WallTimer wave2_timer;
     std::vector<PatternKey> exec_wave;
     for (const size_t slot : rep_slot) {
-      for (const size_t i : results[slot].plan.singletons) {
+      for (const size_t i : responses[slot].plan.singletons) {
         const PatternKey key = queries[slot].pattern(i).Key();
         const PatternExpansion& expansion = expansions.For(key);
         for (const PatternKey& relaxed : expansion.relaxed) {
@@ -195,32 +174,21 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   for (size_t g = 0; g < rep_slot.size(); ++g) {
     const size_t slot = rep_slot[g];
     const ExecInterrupt* interrupt = group_interrupt[g];
-    tasks.push_back([this, &queries, &results, &shared, slot, k, interrupt] {
-      const Query& query = queries[slot];
-      Engine::QueryResult& result = results[slot];
+    tasks.push_back([this, &queries, &responses, &shared, slot, interrupt] {
       if (interrupt != nullptr && interrupt->Stopped()) {
         return;  // stopped before execution started; owner sets the status
       }
-      WallTimer exec_timer;
       // Serial tree per query (no pool in the context): cross-query
       // parallelism comes from running the tasks concurrently, and serial
       // trees equal partitioned trees row-for-row anyway.
-      ExecContext ctx(&result.stats, /*pool=*/nullptr, &shared, interrupt);
-      auto root = engine_->executor_.Build(query, result.plan, &ctx);
-      result.rows = PullTopK(root.get(), k, &result.stats);
-      root.reset();
-      ctx.MergePartitionStats();
-      result.stats.exec_ms = exec_timer.ElapsedMillis();
-      // Trim chain-relaxation scratch slots, as Execute() does.
-      for (ScoredRow& row : result.rows) {
-        if (row.bindings.size() > query.num_vars()) {
-          row.bindings.resize(query.num_vars());
-        }
-      }
+      QueryResponse& response = responses[slot];
+      ExecContext ctx(&response.stats, /*pool=*/nullptr, &shared, interrupt);
+      engine_->Run(queries[slot], /*request=*/nullptr, &ctx, &response);
     });
   }
-  if (engine_->pool_ != nullptr && tasks.size() > 1) {
-    engine_->pool_->RunAndWait(&tasks);
+  ThreadPool* pool = engine_->pool();
+  if (pool != nullptr && tasks.size() > 1) {
+    pool->RunAndWait(&tasks);
   } else {
     for (auto& task : tasks) task();
   }
@@ -233,7 +201,7 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   // how many executions actually ran).
   for (size_t i = 0; i < queries.size(); ++i) {
     const size_t rep = rep_slot[distinct_of[i]];
-    if (rep != i) results[i] = results[rep];
+    if (rep != i) responses[i] = responses[rep];
   }
 
   const SharedScanCache::Counters counters = shared.counters();
@@ -242,7 +210,7 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   bs.lists_resolved = counters.resolved_lists;
   bs.lists_derived = counters.derived_lists;
   bs.base_scans = counters.base_scans;
-  return results;
+  return responses;
 }
 
 }  // namespace specqp

@@ -59,15 +59,19 @@ struct BatchStats {
 //      batch's SharedScanCache (object-bound siblings of one predicate are
 //      derived from a single shared scan), and warm the statistics catalog
 //      once per distinct pattern (kSpecQp).
-//   3. Plan: each distinct query is planned serially against the warmed
-//      catalog (the catalog and selectivity memos are not thread-safe);
-//      with the stats resolved in phase 2 this is pure arithmetic.
+//   3. Plan: each distinct query goes through the engine's Plan step,
+//      serially, against the warmed catalog (the catalog and selectivity
+//      memos are not thread-safe); with the stats resolved in phase 2 this
+//      is pure arithmetic.
 //   4. Resolve the execution-wave lists the plans actually need (the
 //      relaxation lists of kSpecQp singletons; kTrinit resolved everything
 //      in phase 2).
 //   5. Execute: one task per distinct query on the engine's ThreadPool
-//      (cross-query parallelism); each task runs a serial operator tree
-//      against the shared-scan cache and writes to its own result slot.
+//      (cross-query parallelism); each task runs the engine's Run step as
+//      one serial operator tree against the shared-scan cache and writes
+//      to its own response slot. Tasks never race plans, re-plan mid-query
+//      or feed the calibration log: those read the unlocked estimator
+//      memos, which concurrent tasks must not touch.
 //
 // Determinism: every per-query result is bit-identical to a sequential
 // immediate Submit at any thread count — plans are computed from the same
@@ -81,23 +85,22 @@ class BatchExecutor {
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
-  std::vector<Engine::QueryResult> Execute(std::span<const Query> queries,
-                                           size_t k, Strategy strategy,
-                                           BatchStats* batch_stats);
-
-  // Admission-window variant: `interrupts` (empty, or one slot per query;
-  // entries may be null) carries each query's cooperative stop signal.
-  // A distinct execution polls an interrupt only when every slot of its
-  // duplicate group shares that same interrupt — a group with an
-  // uninterruptible (or differently-interruptible) rider runs to
+  // One response per query, in order, each with its plan, diagnostics
+  // (kSpecQp), rows, and ExecStats; status is always Ok.
+  //
+  // `interrupts` (empty, or one slot per query; entries may be null)
+  // carries each query's cooperative stop signal — the admission window
+  // passes them. A distinct execution polls an interrupt only when every
+  // slot of its duplicate group shares that same interrupt — a group with
+  // an uninterruptible (or differently-interruptible) rider runs to
   // completion, and the stopped riders' owners translate their own
   // interrupt state into terminal statuses afterwards. A slot whose
   // execution aborted returns with whatever rows were not yet produced
   // missing; callers gate on the interrupt before using the rows.
-  std::vector<Engine::QueryResult> Execute(
+  std::vector<QueryResponse> Execute(
       std::span<const Query> queries, size_t k, Strategy strategy,
       BatchStats* batch_stats,
-      std::span<const ExecInterrupt* const> interrupts);
+      std::span<const ExecInterrupt* const> interrupts = {});
 
  private:
   Engine* engine_;

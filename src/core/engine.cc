@@ -8,7 +8,6 @@
 #include "query/parser.h"
 #include "rdf/store_io.h"
 #include "relax/expansion.h"
-#include "topk/top_k.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
 #include "util/stop_probe.h"
@@ -19,13 +18,18 @@ namespace specqp {
 
 namespace {
 
+// True once `interrupt` (may be null) has stopped or passed its deadline.
+bool Expired(const ExecInterrupt* interrupt) {
+  return interrupt != nullptr &&
+         (interrupt->Stopped() || interrupt->CheckDeadline());
+}
+
 // Bridges an ExecInterrupt across the rdf/topk layer boundary: installed
 // as the thread-local stop probe for the scope of one execution, so store
 // internals (ShardedStore::Match, posting-list builds) can poll
 // cancellation/deadline without depending on the topk layer.
 bool InterruptStopProbe(const void* ctx) {
-  const auto* interrupt = static_cast<const ExecInterrupt*>(ctx);
-  return interrupt->Stopped() || interrupt->CheckDeadline();
+  return Expired(static_cast<const ExecInterrupt*>(ctx));
 }
 
 }  // namespace
@@ -147,15 +151,7 @@ Result<Engine::Opened> Engine::OpenFromPath(const std::string& store_path,
 
 AdmissionController& Engine::admission() {
   std::call_once(admission_once_, [this] {
-    AdmissionController::Options options;
-    options.max_batch_size = std::max<size_t>(1, options_.admission_max_batch);
-    options.max_delay = std::chrono::microseconds(static_cast<int64_t>(
-        std::max(0.0, options_.admission_max_delay_ms) * 1000.0));
-    options.max_queue_depth = options_.admission_max_queue;
-    options.deadline_aware_shed = options_.admission_deadline_shed;
-    options.retry_after_hint = std::chrono::microseconds(static_cast<int64_t>(
-        std::max(0.0, options_.admission_retry_after_ms) * 1000.0));
-    admission_ = std::make_unique<AdmissionController>(this, options);
+    admission_ = std::make_unique<AdmissionController>(this);
   });
   return *admission_;
 }
@@ -163,7 +159,7 @@ AdmissionController& Engine::admission() {
 std::future<QueryResponse> Engine::Submit(QueryRequest request) {
   if (request.admission == QueryRequest::Admission::kImmediate) {
     std::promise<QueryResponse> promise;
-    promise.set_value(ExecuteRequest(std::move(request)));
+    promise.set_value(ExecuteRequest(request));
     return promise.get_future();
   }
   return admission().Submit(std::move(request));
@@ -171,81 +167,25 @@ std::future<QueryResponse> Engine::Submit(QueryRequest request) {
 
 QueryResponse Engine::Explain(const QueryRequest& request) {
   QueryResponse response;
-  response.tag = request.tag;
-  response.strategy = request.strategy;
-  response.k = request.k;
-  if (request.k < 1) {
-    response.status = Status::InvalidArgument("k must be >= 1");
-    return response;
-  }
-
-  // Resolve without mutating the caller's request.
   Query parsed;
-  const Query* query = nullptr;
-  if (request.query.has_value()) {
-    query = &*request.query;
-  } else {
-    auto result = ParseQuery(request.text, store_->dict());
-    if (!result.ok()) {
-      response.status = result.status();
-      return response;
-    }
-    parsed = std::move(result).value();
-    query = &parsed;
-  }
-
-  WallTimer plan_timer;
-  switch (request.strategy) {
-    case Strategy::kSpecQp:
-      response.plan = planner_.Plan(*query, request.k, &response.diagnostics);
-      break;
-    case Strategy::kTrinit:
-      response.plan = QueryPlan::TrinitPlan(query->num_patterns());
-      break;
-    case Strategy::kNoRelax:
-      response.plan = QueryPlan::NoRelaxationsPlan(query->num_patterns());
-      break;
-  }
-  response.stats.plan_ms = plan_timer.ElapsedMillis();
+  const Query* query = Resolve(request, &parsed, &response);
+  if (query != nullptr) Plan(*query, &response);
   return response;
 }
 
-QueryResponse Engine::ExecuteRequest(QueryRequest request) {
+QueryResponse Engine::ExecuteRequest(const QueryRequest& request) {
   QueryResponse response;
-  response.tag = request.tag;
-  response.strategy = request.strategy;
-  response.k = request.k;
+  Query parsed;
+  const Query* query = Resolve(request, &parsed, &response);
+  if (query == nullptr) return response;
 
-  if (request.k < 1) {
-    response.status = Status::InvalidArgument("k must be >= 1");
-    return response;
-  }
-  if (!request.query.has_value()) {
-    auto parsed = ParseQuery(request.text, store_->dict());
-    if (!parsed.ok()) {
-      response.status = parsed.status();
-      return response;
-    }
-    request.query = std::move(parsed).value();
-  }
-
-  ExecInterrupt interrupt;
-  bool interruptible = false;
-  if (request.cancel.valid()) {
-    interrupt.LinkCancelFlag(request.cancel.flag());
-    interruptible = true;
-  }
-  if (request.deadline.has_value()) {
-    interrupt.SetDeadline(*request.deadline);
-    interruptible = true;
-  }
-  if (interruptible && (interrupt.Stopped() || interrupt.CheckDeadline())) {
+  ExecInterrupt armed;
+  const ExecInterrupt* interrupt =
+      ArmInterrupt(request, &armed) ? &armed : nullptr;
+  if (Expired(interrupt)) {
     // Terminated before any work: already-cancelled token or expired
     // deadline at submit time.
-    response.status = interrupt.cause() == StopCause::kCancelled
-                          ? Status::Cancelled("cancelled before execution")
-                          : Status::DeadlineExceeded(
-                                "deadline expired before execution");
+    response.status = StopStatus(interrupt->cause());
     return response;
   }
 
@@ -256,18 +196,125 @@ QueryResponse Engine::ExecuteRequest(QueryRequest request) {
   response.status = PreflightServing(&response, &fault_epoch);
   if (!response.status.ok()) return response;
 
-  RunQuery(*request.query, request, interruptible ? &interrupt : nullptr,
-           &response);
+  QueryPlan executed_plan;
+  {
+    // Store internals poll this thread-local probe between shards and
+    // every few thousand merge steps, so cancellation aborts promptly even
+    // while execution is deep inside a scatter-gather or posting build. A
+    // null interrupt installs a null probe (StopRequested stays false).
+    ScopedStopProbe stop_probe(
+        interrupt != nullptr ? &InterruptStopProbe : nullptr, interrupt);
+    Plan(*query, &response);
+    ExecContext ctx(&response.stats,
+                    request.serial.value_or(false) ? nullptr : pool_.get(),
+                    /*shared_scans=*/nullptr, interrupt);
+    if (request.parallel_min_rows.has_value()) {
+      ctx.set_parallel_min_rows_override(*request.parallel_min_rows);
+    }
+    Run(*query, &request, &ctx, &response, &executed_plan);
+  }
+  Finish(interrupt, fault_epoch, &response);
+  if (!response.status.ok()) return response;
 
-  if (response.status.ok()) {
-    const Status post = PostflightServing(fault_epoch, &response);
-    if (!post.ok()) {
-      response.rows.clear();
-      response.partial = false;
-      response.status = post;
+  // Calibration loop: record what the planner believed against what the
+  // posting lists actually held (only for answered requests — an aborted
+  // or faulted run's observations are censored). The pattern records feed
+  // scripts/fit_estimator_correction.py; estimated_m is post-correction,
+  // so a fitted table converging to 1.0 multipliers means the loop closed.
+  for (const TriplePattern& q : query->patterns()) {
+    const PatternKey key = q.Key();
+    CalibrationPatternRecord record;
+    record.signature = PatternSignature(*store_, key);
+    record.estimated_m = estimator_.PatternCardinality(key);
+    record.actual_m =
+        static_cast<double>(postings_.GetUncounted(key)->size());
+    calibration_log_.RecordPattern(std::move(record));
+  }
+  CalibrationQueryRecord summary;
+  summary.estimated_cardinality = response.diagnostics.cardinality_estimate;
+  summary.observed_join_results = response.rows.size();
+  summary.plan = executed_plan.ToString();
+  summary.raced = response.stats.plans_raced > 0;
+  summary.runner_up_won = response.stats.race_wins_by_runnerup > 0;
+  calibration_log_.RecordQuery(std::move(summary));
+  return response;
+}
+
+const Query* Engine::Resolve(const QueryRequest& request, Query* parsed,
+                             QueryResponse* response) const {
+  response->tag = request.tag;
+  response->strategy = request.strategy;
+  response->k = request.k;
+  if (request.k < 1) {
+    response->status = Status::InvalidArgument("k must be >= 1");
+    return nullptr;
+  }
+  if (request.query.has_value()) return &*request.query;
+  auto result = ParseQuery(request.text, store_->dict());
+  if (!result.ok()) {
+    response->status = result.status();
+    return nullptr;
+  }
+  *parsed = std::move(result).value();
+  return parsed;
+}
+
+void Engine::Plan(const Query& query, QueryResponse* response) {
+  WallTimer plan_timer;
+  switch (response->strategy) {
+    case Strategy::kSpecQp:
+      response->plan =
+          planner_.Plan(query, response->k, &response->diagnostics);
+      break;
+    case Strategy::kTrinit:
+      response->plan = QueryPlan::TrinitPlan(query.num_patterns());
+      break;
+    case Strategy::kNoRelax:
+      response->plan = QueryPlan::NoRelaxationsPlan(query.num_patterns());
+      break;
+  }
+  response->stats.plan_ms = plan_timer.ElapsedMillis();
+}
+
+void Engine::Run(const Query& query, const QueryRequest* request,
+                 ExecContext* ctx, QueryResponse* response,
+                 QueryPlan* executed_plan) {
+  WallTimer exec_timer;
+  AdaptivePolicy adaptive;
+  if (request != nullptr) {
+    adaptive = {options_.replan_divergence_factor, options_.replan_check_rows};
+  }
+  // Plan racing: only the Spec-QP strategy produces a runner-up (the
+  // primary with its least-confident PLANGEN decision flipped), and a race
+  // needs the pool to time-share.
+  const PlanDiagnostics& diag = response->diagnostics;
+  const bool race = request != nullptr && ctx->pool() != nullptr &&
+                    response->strategy == Strategy::kSpecQp &&
+                    options_.speculate_threshold > 0.0 &&
+                    diag.has_runner_up && diag.least_confident_pattern >= 0 &&
+                    diag.plan_confidence < options_.speculate_threshold;
+  if (race) {
+    const double bound = speculative_.CertificateBound(
+        query, static_cast<size_t>(diag.least_confident_pattern));
+    response->rows = speculative_.Race(query, *request, response->plan,
+                                       diag.runner_up, bound, adaptive,
+                                       ctx->pool(), &response->stats,
+                                       executed_plan);
+  } else {
+    response->rows = speculative_.RunAdaptive(
+        query, response->plan, response->k, adaptive, ctx, executed_plan);
+    ctx->MergePartitionStats();
+  }
+  response->stats.exec_ms = exec_timer.ElapsedMillis();
+
+  // Chain relaxations execute with trailing scratch slots for their fresh
+  // variables (always kInvalidTermId at the root); trim rows back to the
+  // query's own variables.
+  for (ScoredRow& row : response->rows) {
+    if (row.bindings.size() > query.num_vars()) {
+      row.bindings.resize(query.num_vars());
     }
   }
-  return response;
 }
 
 Status Engine::PreflightServing(QueryResponse* response,
@@ -311,8 +358,16 @@ Status Engine::PreflightServing(QueryResponse* response,
   return Status::Ok();
 }
 
-Status Engine::PostflightServing(uint64_t epoch_before,
-                                 QueryResponse* response) {
+void Engine::Finish(const ExecInterrupt* interrupt, uint64_t epoch_before,
+                    QueryResponse* response) {
+  if (Expired(interrupt)) {
+    // Aborted (or terminally late): no partial results are returned.
+    response->rows.clear();
+    response->partial = false;
+    response->status = StopStatus(interrupt->cause());
+    return;
+  }
+  if (!response->status.ok()) return;
   const ShardedTripleSource* source = store_->sharded_source();
   bool faulted = response->stats.store_faults > 0;  // any backend
   if (source != nullptr) {
@@ -326,136 +381,12 @@ Status Engine::PostflightServing(uint64_t epoch_before,
     }
   }
   if (faulted) {
-    return Status::IoError(
+    response->rows.clear();
+    response->partial = false;
+    response->status = Status::IoError(
         "backing store faulted during execution; the answer may mix pre- "
         "and post-fault data — retry to answer from the surviving state");
   }
-  return Status::Ok();
-}
-
-void Engine::RunQuery(const Query& query, const QueryRequest& request,
-                      const ExecInterrupt* interrupt,
-                      QueryResponse* response) {
-  // Store internals poll this thread-local probe between shards and every
-  // few thousand merge steps, so cancellation aborts promptly even while
-  // execution is deep inside a scatter-gather or posting build. Null
-  // interrupt installs a null probe (StopRequested stays false).
-  ScopedStopProbe stop_probe(
-      interrupt != nullptr ? &InterruptStopProbe : nullptr, interrupt);
-
-  WallTimer plan_timer;
-  switch (request.strategy) {
-    case Strategy::kSpecQp:
-      response->plan =
-          planner_.Plan(query, request.k, &response->diagnostics);
-      break;
-    case Strategy::kTrinit:
-      response->plan = QueryPlan::TrinitPlan(query.num_patterns());
-      break;
-    case Strategy::kNoRelax:
-      response->plan = QueryPlan::NoRelaxationsPlan(query.num_patterns());
-      break;
-  }
-  response->stats.plan_ms = plan_timer.ElapsedMillis();
-
-  WallTimer exec_timer;
-  ThreadPool* pool =
-      request.serial.value_or(false) ? nullptr : pool_.get();
-  const AdaptivePolicy adaptive{options_.replan_divergence_factor,
-                                options_.replan_check_rows};
-  RaceReport race;
-  QueryPlan executed_plan = response->plan;
-
-  // Plan racing: only the Spec-QP strategy produces a runner-up (the
-  // primary with its least-confident PLANGEN decision flipped), and a race
-  // needs the pool to time-share.
-  const PlanDiagnostics& diag = response->diagnostics;
-  const bool race_now = pool != nullptr &&
-                        request.strategy == Strategy::kSpecQp &&
-                        options_.speculate_threshold > 0.0 &&
-                        diag.has_runner_up && diag.least_confident_pattern >= 0 &&
-                        diag.plan_confidence < options_.speculate_threshold;
-  if (race_now) {
-    const double bound = speculative_.CertificateBound(
-        query, static_cast<size_t>(diag.least_confident_pattern));
-    response->rows = speculative_.Race(query, request, response->plan,
-                                       diag.runner_up, bound, adaptive, pool,
-                                       &response->stats, &race, &executed_plan);
-  } else {
-    ExecContext ctx(&response->stats, pool, /*shared_scans=*/nullptr,
-                    interrupt);
-    if (request.parallel_min_rows.has_value()) {
-      ctx.set_parallel_min_rows_override(*request.parallel_min_rows);
-    }
-    if (adaptive.enabled()) {
-      response->rows = speculative_.RunAdaptive(
-          query, response->plan, request.k, adaptive, &ctx, &executed_plan);
-    } else {
-      auto root = executor_.Build(query, response->plan, &ctx);
-      response->rows = PullTopK(root.get(), request.k, &response->stats);
-      root.reset();  // partition trees die before their contexts merge
-    }
-    ctx.MergePartitionStats();
-  }
-  response->stats.exec_ms = exec_timer.ElapsedMillis();
-
-  if (interrupt != nullptr &&
-      (interrupt->Stopped() || interrupt->CheckDeadline())) {
-    // Aborted (or terminally late): no partial results are returned.
-    response->rows.clear();
-    switch (interrupt->cause()) {
-      case StopCause::kCancelled:
-        response->status = Status::Cancelled("query cancelled");
-        break;
-      case StopCause::kStoreFault:
-        response->status =
-            Status::IoError("backing store faulted during execution");
-        break;
-      default:
-        response->status =
-            Status::DeadlineExceeded("query deadline exceeded");
-        break;
-    }
-    return;
-  }
-
-  // Chain relaxations execute with trailing scratch slots for their fresh
-  // variables (always kInvalidTermId at the root); trim rows back to the
-  // query's own variables.
-  for (ScoredRow& row : response->rows) {
-    if (row.bindings.size() > query.num_vars()) {
-      row.bindings.resize(query.num_vars());
-    }
-  }
-
-  // Calibration loop: record what the planner believed against what the
-  // posting lists actually held (only for completed executions — an
-  // aborted run's observations are censored). The pattern records feed
-  // scripts/fit_estimator_correction.py; estimated_m is post-correction,
-  // so a fitted table converging to 1.0 multipliers means the loop closed.
-  for (const TriplePattern& q : query.patterns()) {
-    const PatternKey key = q.Key();
-    CalibrationPatternRecord record;
-    record.signature = PatternSignature(*store_, key);
-    record.estimated_m = estimator_.PatternCardinality(key);
-    record.actual_m =
-        static_cast<double>(postings_.GetUncounted(key)->size());
-    calibration_log_.RecordPattern(std::move(record));
-  }
-  CalibrationQueryRecord summary;
-  summary.estimated_cardinality = response->diagnostics.cardinality_estimate;
-  summary.observed_join_results = response->rows.size();
-  summary.plan = executed_plan.ToString();
-  summary.raced = race.raced;
-  summary.runner_up_won = race.runner_up_won;
-  calibration_log_.RecordQuery(std::move(summary));
-}
-
-QueryPlan Engine::PlanOnly(const Query& query, size_t k,
-                           PlanDiagnostics* diagnostics) {
-  // Same planner call Explain makes, without the request/response envelope
-  // (this sits in planning-throughput measurement loops).
-  return planner_.Plan(query, k, diagnostics);
 }
 
 void Engine::Warm(const Query& query) {

@@ -83,12 +83,16 @@ struct EngineOptions {
   // threshold > 1 forces a race whenever a runner-up exists. Requires
   // num_threads >= 2 (a race needs a pool to share); answers are identical
   // with racing on or off — the certificate gate makes the runner-up's
-  // result usable only when it provably matches the primary's.
+  // result usable only when it provably matches the primary's. kImmediate
+  // requests only: windowed requests run as concurrent batch tasks, and
+  // the estimator memos a race reads have no locks.
   double speculate_threshold = 0.0;
   // Mid-query re-planning: once a leaf operator has emitted more than this
   // factor times its estimated cardinality, the (serial) execution stops,
   // re-orders the plan by actual posting sizes, and restarts on the warm
   // caches — at most once per execution. Values <= 1 disable adaptivity.
+  // kImmediate requests only, for the same reason as racing: the leaf
+  // estimates come from the unlocked estimator memos.
   double replan_divergence_factor = 0.0;
   // Cadence of the divergence checkpoints, in interrupt polls (roughly a
   // small multiple of rows pulled).
@@ -96,9 +100,11 @@ struct EngineOptions {
   // Estimate-calibration loop (stats/calibration.h): path of a correction
   // table fitted by scripts/fit_estimator_correction.py, loaded into the
   // statistics catalog at construction (empty = uncalibrated; a missing
-  // file is treated as empty). Every execution also appends to the
-  // engine's in-memory CalibrationLog, bounded by calibration_log_capacity
-  // records per kind.
+  // file is treated as empty). Every completed kImmediate execution also
+  // appends to the engine's in-memory CalibrationLog, bounded by
+  // calibration_log_capacity records per kind; windowed requests do not,
+  // because their batch tasks run concurrently and the estimate lookups go
+  // through the unlocked estimator memos.
   std::string calibration_path;
   size_t calibration_log_capacity = 4096;
   // Engine::OpenFromPath only: memory-map the store file (zero-copy
@@ -162,20 +168,12 @@ struct EngineOptions {
 // max-size or max-delay, EngineOptions::admission_*) that dispatch through
 // the batch executor, so online traffic gets the shared-scan amortisation
 // automatically. Pre-assembled batches go through BatchExecutor directly
-// (core/batch_executor.h). The legacy Execute/ExecuteText/ExecuteBatch/
-// ExecuteTextBatch wrappers have been removed; non-Submit entry points
-// must not run concurrently with anything else on the same engine.
+// (core/batch_executor.h). Every one of these paths runs the same private
+// request steps (Resolve, Plan, Run, Finish) and fills the same
+// QueryResponse; non-Submit entry points must not run concurrently with
+// anything else on the same engine.
 class Engine {
  public:
-  // Per-query result record of the batch layer (BatchExecutor, admission
-  // windows). Single-query callers use Submit and read the QueryResponse.
-  struct QueryResult {
-    QueryPlan plan;
-    PlanDiagnostics diagnostics;  // filled for kSpecQp
-    std::vector<ScoredRow> rows;  // the top-k, score-descending
-    ExecStats stats;
-  };
-
   Engine(const TripleStore* store, const RelaxationIndex* rules,
          const EngineOptions& options = {});
 
@@ -241,10 +239,6 @@ class Engine {
   // exposed for Flush() and its Stats counters.
   AdmissionController& admission();
 
-  // DEPRECATED: thin wrapper over Explain (kept for planner-only studies).
-  QueryPlan PlanOnly(const Query& query, size_t k,
-                     PlanDiagnostics* diagnostics = nullptr);
-
   // Pre-materialises posting lists and statistics for a query and its
   // relaxations — the paper's warm-cache setting (section 4.4) separates
   // this cost from query runtimes.
@@ -258,25 +252,50 @@ class Engine {
   // (estimate, actual) observations here; bench runs dump it into their
   // --json artifacts for scripts/fit_estimator_correction.py.
   const CalibrationLog& calibration_log() const { return calibration_log_; }
-  SelectivityEstimator& selectivity() { return selectivity_; }
   const EngineOptions& options() const { return options_; }
   // Resolved execution concurrency (>= 1); the pool is shared by every
   // execution on this engine.
   int num_threads() const { return num_threads_; }
+  // The engine's thread pool (null when serial).
+  ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  friend class BatchExecutor;       // drives planner_/executor_/pool_ per batch
-  friend class AdmissionController; // dispatches windows on its own thread
+  // Both reach the engine only through the request steps below and the
+  // public accessors above.
+  friend class BatchExecutor;
+  friend class AdmissionController;
 
-  // The synchronous unified execution path shared by Submit's immediate
-  // mode and the legacy wrappers: resolve (parse if needed), run the
-  // submit-time checks, plan, execute with the request's interrupt and
-  // overrides, and translate an abort into the terminal status.
-  QueryResponse ExecuteRequest(QueryRequest request);
-  // Plans and executes one resolved query into `response` (which already
-  // carries the request echo). `interrupt` may be null.
-  void RunQuery(const Query& query, const QueryRequest& request,
-                const ExecInterrupt* interrupt, QueryResponse* response);
+  // Submit's kImmediate path: Resolve, preflight, Plan, Run and Finish on
+  // the calling thread, then the calibration log.
+  QueryResponse ExecuteRequest(const QueryRequest& request);
+
+  // --- the request steps (docs/ARCHITECTURE.md "Request lifecycle") -------
+  // Every entry point composes these: Explain (Resolve, Plan), the
+  // kImmediate path (all of them), BatchExecutor (Plan, Run) and the
+  // admission controller (Resolve at submit; preflight and Finish per
+  // window).
+
+  // Echoes the request into `response` (tag, strategy, k), checks k >= 1,
+  // and parses text against the store dictionary. Returns the query to run
+  // — the request's own when it is already parsed (never copied), else
+  // `*parsed` — or null with response->status set.
+  const Query* Resolve(const QueryRequest& request, Query* parsed,
+                       QueryResponse* response) const;
+  // Plans `query` for response->strategy and response->k: PLANGEN with its
+  // diagnostics for kSpecQp, the static all-singletons (kTrinit) or
+  // all-join-group (kNoRelax) plan otherwise. Sets stats.plan_ms. Touches
+  // the planner memos, so it runs on one thread at a time.
+  void Plan(const Query& query, QueryResponse* response);
+  // Executes response->plan under `ctx` into response->rows, folds the
+  // partition counters, sets stats.exec_ms, and trims chain-relaxation
+  // scratch slots. With `request` (kImmediate only) the re-planning policy
+  // is live and a low-confidence kSpecQp plan races its runner-up on the
+  // context's pool; batch tasks pass none and run one tree, because they
+  // run concurrently and the estimator memos both of those read have no
+  // locks. `executed_plan` (optional) receives the plan that produced the
+  // rows.
+  void Run(const Query& query, const QueryRequest* request, ExecContext* ctx,
+           QueryResponse* response, QueryPlan* executed_plan = nullptr);
 
   // --- fault-tolerant serving (docs/ARCHITECTURE.md "Failure model") ------
   // Run before execution: sweeps latched mapping faults on a sharded
@@ -288,11 +307,15 @@ class Engine {
   // with shards out, or every shard out). `epoch_out` receives the fault
   // epoch the decision was made under. No-op Ok for non-sharded stores.
   [[nodiscard]] Status PreflightServing(QueryResponse* response, uint64_t* epoch_out);
-  // Run after execution: a quarantine that landed mid-query (epoch moved
-  // past `epoch_before`) or a latched in-flight fault
+  // Settles a response after execution. A stopped `interrupt` (may be
+  // null) wins: the rows are dropped for its StopStatus. Otherwise, unless
+  // the response already failed, a quarantine that landed mid-query (epoch
+  // moved past `epoch_before`) or a latched in-flight fault
   // (stats.store_faults > 0) invalidates the answer — it may mix pre- and
-  // post-fault shard sets — and surfaces as kIoError.
-  [[nodiscard]] Status PostflightServing(uint64_t epoch_before, QueryResponse* response);
+  // post-fault shard sets — and it becomes kIoError with the refreshed
+  // shard ledger.
+  void Finish(const ExecInterrupt* interrupt, uint64_t epoch_before,
+              QueryResponse* response);
 
   const TripleStore* store_;
   const RelaxationIndex* rules_;

@@ -181,8 +181,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
         BuildTree(query, plan, ctx->ForPartition(), &view, nullptr));
   }
   ctx->stats()->parallel_partitions += num_partitions;
-  return std::make_unique<ParallelRankJoin>(std::move(roots), ctx,
-                                            options_.parallel_batch_rows);
+  return std::make_unique<ParallelRankJoin>(std::move(roots), ctx);
 }
 
 std::unique_ptr<ScoredRowIterator> PlanExecutor::BuildTree(

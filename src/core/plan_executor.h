@@ -58,8 +58,6 @@ class PlanExecutor {
     // partitioning pass). Zero = always parallelise when possible. Default
     // matches EngineOptions::parallel_min_rows.
     size_t parallel_min_rows = 1024;
-    // Rows pulled per partition per refill round of the top merger.
-    size_t parallel_batch_rows = 32;
   };
 
   PlanExecutor(const TripleStore* store, PostingListCache* postings,

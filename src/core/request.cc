@@ -37,4 +37,21 @@ QueryRequest& QueryRequest::WithTimeout(std::chrono::milliseconds timeout) {
   return *this;
 }
 
+bool ArmInterrupt(const QueryRequest& request, ExecInterrupt* interrupt) {
+  if (request.cancel.valid()) interrupt->LinkCancelFlag(request.cancel.flag());
+  if (request.deadline.has_value()) interrupt->SetDeadline(*request.deadline);
+  return request.cancel.valid() || request.deadline.has_value();
+}
+
+Status StopStatus(StopCause cause) {
+  switch (cause) {
+    case StopCause::kCancelled:
+      return Status::Cancelled("query cancelled");
+    case StopCause::kStoreFault:
+      return Status::IoError("backing store faulted during execution");
+    default:
+      return Status::DeadlineExceeded("query deadline exceeded");
+  }
+}
+
 }  // namespace specqp

@@ -11,6 +11,7 @@
 
 #include "core/query_plan.h"
 #include "query/query.h"
+#include "topk/exec_context.h"
 #include "topk/exec_stats.h"
 #include "topk/scored_row.h"
 #include "util/status.h"
@@ -118,12 +119,14 @@ struct QueryRequest {
   QueryRequest& WithTimeout(std::chrono::milliseconds timeout);
 };
 
-// The unified result of one request: the terminal Status plus everything
-// the legacy Result<Engine::QueryResult> split used to carry, and the
-// request echo/admission diagnostics. `rows` is only meaningful when
-// status.ok(); a cancelled or expired request reports its terminal status
-// with no rows (`partial` stays false — partial-result streaming is a
-// future extension, nothing is ever silently truncated today).
+// The one result record of the engine: the terminal Status, the plan and
+// PLANGEN diagnostics, the rows and ExecStats, and the request
+// echo/admission diagnostics. Every path fills it — Explain (plan only),
+// Submit in either admission mode, and BatchExecutor (one per query).
+// `rows` is only meaningful when status.ok(); a cancelled or expired
+// request reports its terminal status with no rows (`partial` stays false
+// — partial-result streaming is a future extension, nothing is ever
+// silently truncated today).
 struct QueryResponse {
   Status status;
 
@@ -146,6 +149,14 @@ struct QueryResponse {
 
   bool ok() const { return status.ok(); }
 };
+
+// Arms `interrupt` with the request's cancellation token and deadline.
+// Returns false, leaving `interrupt` untouched, when the request has
+// neither — it then runs with no interrupt at all.
+bool ArmInterrupt(const QueryRequest& request, ExecInterrupt* interrupt);
+
+// The terminal status of an execution stopped for `cause`.
+Status StopStatus(StopCause cause);
 
 }  // namespace specqp
 

@@ -108,7 +108,8 @@ std::vector<ScoredRow> SpeculativeExecutor::RunAdaptive(
     const std::function<void()>& on_replan) {
   if (executed_plan != nullptr) *executed_plan = plan;
   std::vector<PlanExecutor::LeafHandle> leaves;
-  auto root = executor_->Build(query, plan, ctx, &leaves);
+  auto root =
+      executor_->Build(query, plan, ctx, policy.enabled() ? &leaves : nullptr);
   if (!policy.enabled() || leaves.empty()) {
     auto rows = PullTopK(root.get(), k, ctx->stats());
     root.reset();
@@ -162,8 +163,8 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
     const Query& query, const QueryRequest& request, const QueryPlan& primary,
     const QueryPlan& runner_up, double certificate_bound,
     const AdaptivePolicy& policy, ThreadPool* pool, ExecStats* stats,
-    RaceReport* report, QueryPlan* executed_plan) {
-  SPECQP_CHECK(pool != nullptr && stats != nullptr && report != nullptr);
+    QueryPlan* executed_plan) {
+  SPECQP_CHECK(pool != nullptr && stats != nullptr);
   const size_t k = request.k;
 
   struct RacerSlot {
@@ -179,14 +180,7 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
   RacerSlot racers[2];
   racers[0].plan = &primary;
   racers[1].plan = &runner_up;
-  for (RacerSlot& slot : racers) {
-    if (request.cancel.valid()) {
-      slot.interrupt.LinkCancelFlag(request.cancel.flag());
-    }
-    if (request.deadline.has_value()) {
-      slot.interrupt.SetDeadline(*request.deadline);
-    }
-  }
+  for (RacerSlot& slot : racers) ArmInterrupt(request, &slot.interrupt);
 
   std::atomic<int> winner{-1};
   const auto claim = [&racers, &winner](int index) {
@@ -260,8 +254,6 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
     stats->race_loser_abort_ms += MillisBetween(win.win_time, lose.end_time);
   }
 
-  report->raced = true;
-  report->runner_up_won = win_index == 1;
   if (executed_plan != nullptr) *executed_plan = win.executed;
   return std::move(win.rows);
 }

@@ -34,12 +34,6 @@ struct AdaptivePolicy {
   bool enabled() const { return divergence_factor > 1.0; }
 };
 
-// How a speculative race was decided (for the calibration log and tests).
-struct RaceReport {
-  bool raced = false;
-  bool runner_up_won = false;
-};
-
 // Speculative execution on top of the plan executor (docs/ARCHITECTURE.md,
 // "Speculative execution & adaptivity"):
 //
@@ -101,12 +95,13 @@ class SpeculativeExecutor {
   QueryPlan ReorderByActualSize(const Query& query,
                                 const QueryPlan& plan) const;
 
-  // Executes `plan` with mid-query re-planning (see class comment).
-  // `executed_plan` (optional) receives the plan that produced the
-  // returned rows; `on_replan` (optional) runs right after a divergence
-  // commits to re-planning — the race uses it to claim the win before the
-  // restart. Checkpoints only attach when the executor builds a serial
-  // tree; a partitioned parallel tree executes unmodified.
+  // Executes `plan` with mid-query re-planning (see class comment); with a
+  // disabled policy, a plain build and pull. `executed_plan` (optional)
+  // receives the plan that produced the returned rows; `on_replan`
+  // (optional) runs right after a divergence commits to re-planning — the
+  // race uses it to claim the win before the restart. Checkpoints only
+  // attach when the executor builds a serial tree; a partitioned parallel
+  // tree executes unmodified.
   std::vector<ScoredRow> RunAdaptive(
       const Query& query, const QueryPlan& plan, size_t k,
       const AdaptivePolicy& policy, ExecContext* ctx,
@@ -119,14 +114,14 @@ class SpeculativeExecutor {
   // `stats` together with the speculation ledger (plans_raced,
   // race_wins_by_runnerup, speculative_work_wasted_rows,
   // race_loser_abort_ms). The request supplies k plus the cancellation
-  // flag / deadline both racers honour.
+  // flag / deadline both racers honour. `executed_plan` (optional)
+  // receives the winner's executed plan.
   std::vector<ScoredRow> Race(const Query& query, const QueryRequest& request,
                               const QueryPlan& primary,
                               const QueryPlan& runner_up,
                               double certificate_bound,
                               const AdaptivePolicy& policy, ThreadPool* pool,
-                              ExecStats* stats, RaceReport* report,
-                              QueryPlan* executed_plan);
+                              ExecStats* stats, QueryPlan* executed_plan);
 
  private:
   // Estimated rows a leaf will emit: the pattern's (possibly calibrated)

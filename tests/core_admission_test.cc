@@ -114,7 +114,7 @@ TEST(AdmissionTest, SingleQueryWindowClosesOnMaxDelayBitIdentical) {
   Engine reference(&fx.store, &fx.rules);
   Engine engine(&fx.store, &fx.rules);  // default window: 16 / 2 ms
   const Query query = fx.TypeQuery({"singer", "lyricist"});
-  const Engine::QueryResult expected =
+  const QueryResponse expected =
       testing::Execute(reference, query, 5, Strategy::kSpecQp);
 
   // One submission, no flush: only the max-delay close can dispatch it.
@@ -208,7 +208,7 @@ TEST(AdmissionTest, ConcurrentSubmitFromEightThreads) {
       fx.TypeQuery({"jazz_singer"}),
       fx.TypeQuery({"singer", "lyricist", "guitarist"}),
   };
-  std::vector<Engine::QueryResult> expected;
+  std::vector<QueryResponse> expected;
   for (const Query& query : pool) {
     expected.push_back(testing::Execute(reference, query, 5, Strategy::kSpecQp));
   }
@@ -475,7 +475,7 @@ TEST(AdmissionTest, AllWorkloadQueriesBitIdenticalAcrossWindowSizes) {
   for (const auto& bundle : bundles) {
     for (const Strategy strategy : strategies) {
       Engine reference(bundle.store, bundle.rules);
-      std::vector<Engine::QueryResult> expected;
+      std::vector<QueryResponse> expected;
       expected.reserve(bundle.workload->size());
       for (const Query& query : *bundle.workload) {
         expected.push_back(testing::Execute(reference, query, 10, strategy));

@@ -37,8 +37,8 @@ EngineOptions ThreadedOptions(int threads) {
   return options;
 }
 
-void ExpectIdenticalRows(const Engine::QueryResult& expected,
-                         const Engine::QueryResult& actual,
+void ExpectIdenticalRows(const QueryResponse& expected,
+                         const QueryResponse& actual,
                          const std::string& label) {
   ASSERT_EQ(actual.rows.size(), expected.rows.size()) << label;
   for (size_t i = 0; i < expected.rows.size(); ++i) {
@@ -66,7 +66,7 @@ TEST(BatchExecutionTest, BitIdenticalToSequentialAcrossThreadsAndStrategies) {
     for (Strategy strategy : kStrategies) {
       // Sequential reference from a dedicated engine.
       Engine reference(&fx.store, &fx.rules, ThreadedOptions(1));
-      std::vector<Engine::QueryResult> expected;
+      std::vector<QueryResponse> expected;
       for (const Query& query : batch) {
         expected.push_back(testing::Execute(reference, query, k, strategy));
       }
@@ -106,7 +106,7 @@ TEST(BatchExecutionTest, RandomStoresBitIdenticalToSequential) {
     }
     for (Strategy strategy : kStrategies) {
       Engine reference(&store, &rules, ThreadedOptions(1));
-      std::vector<Engine::QueryResult> expected;
+      std::vector<QueryResponse> expected;
       for (const Query& query : batch) {
         expected.push_back(testing::Execute(reference, query, 10, strategy));
       }
@@ -277,7 +277,7 @@ TEST(BatchExecutionTest, MixedXkgTwitterWorkloadQueriesBitIdentical) {
   for (const auto& bundle : bundles) {
     for (Strategy strategy : kStrategies) {
       Engine reference(bundle.store, bundle.rules, ThreadedOptions(1));
-      std::vector<Engine::QueryResult> expected;
+      std::vector<QueryResponse> expected;
       for (const Query& query : *bundle.workload) {
         expected.push_back(testing::Execute(reference, query, 10, strategy));
       }

@@ -290,11 +290,12 @@ TEST(ChainPlannerTest, SparsePatternWithOnlyChainRuleGetsRelaxed) {
   Engine engine(&fx.store, &fx.rules);
   // k=3 but "plays guitar" has a single original answer; the chain rule is
   // the only relaxation and must be chosen.
-  PlanDiagnostics diag;
-  const QueryPlan plan = engine.PlanOnly(fx.PlaysQuery("guitar"), 3, &diag);
-  ASSERT_EQ(plan.singletons.size(), 1u);
-  EXPECT_TRUE(diag.decisions[0].has_relaxations);
-  EXPECT_GT(diag.decisions[0].eq_prime_top, 0.0);
+  const QueryResponse planned =
+      engine.Explain(QueryRequest::FromQuery(fx.PlaysQuery("guitar"), 3));
+  ASSERT_TRUE(planned.ok()) << planned.status.ToString();
+  ASSERT_EQ(planned.plan.singletons.size(), 1u);
+  EXPECT_TRUE(planned.diagnostics.decisions[0].has_relaxations);
+  EXPECT_GT(planned.diagnostics.decisions[0].eq_prime_top, 0.0);
 }
 
 TEST(ChainPlannerTest, SpecQpExecutesChainPlan) {

@@ -91,11 +91,12 @@ TEST(EngineTest, PlanOnlyMatchesExecutePlan) {
   MusicFixture fx = MakeMusicFixture();
   Engine engine(&fx.store, &fx.rules);
   const Query query = fx.TypeQuery({"singer", "pianist"});
-  PlanDiagnostics diag;
-  const QueryPlan planned = engine.PlanOnly(query, 10, &diag);
+  const QueryResponse planned =
+      engine.Explain(QueryRequest::FromQuery(query, 10));
+  ASSERT_TRUE(planned.ok()) << planned.status.ToString();
   const auto executed = testing::Execute(engine, query, 10, Strategy::kSpecQp);
-  EXPECT_EQ(planned.singletons, executed.plan.singletons);
-  EXPECT_EQ(planned.join_group, executed.plan.join_group);
+  EXPECT_EQ(planned.plan.singletons, executed.plan.singletons);
+  EXPECT_EQ(planned.plan.join_group, executed.plan.join_group);
 }
 
 TEST(EngineTest, StrategyNames) {

@@ -1,13 +1,15 @@
 // Engine-level fault-tolerant serving: strict vs degraded answers over a
 // bundle with quarantined shards, mid-query fault invalidation (kIoError,
 // then partial answers), block-decode and store-open fault surfacing on
-// single-file backends, admission-side overload shedding (queue depth and
+// single-file backends — on both admission paths — admission-side
+// overload shedding (queue depth, also under concurrent submitters, and
 // hopeless deadlines), SubmitWithRetry semantics, and cancellation
 // responsiveness during sharded scatter-gather execution.
 
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,11 +92,35 @@ TripleStore SurvivorStore(const TripleStore& store, uint32_t failed_shard) {
   return out;
 }
 
-QueryResponse SubmitImmediate(Engine& engine, const Query& query,
-                              size_t k = 10) {
-  QueryRequest request = QueryRequest::FromQuery(query, k);
-  request.admission = QueryRequest::Admission::kImmediate;
+QueryResponse SubmitVia(Engine& engine, const Query& query,
+                        QueryRequest::Admission admission) {
+  QueryRequest request = QueryRequest::FromQuery(query, 10);
+  request.admission = admission;
   return engine.Submit(std::move(request)).get();
+}
+
+QueryResponse SubmitImmediate(Engine& engine, const Query& query) {
+  return SubmitVia(engine, query, QueryRequest::Admission::kImmediate);
+}
+
+// The serving contract holds on both admission paths: kImmediate runs the
+// request on the calling thread, kWindow through a dispatched window (of
+// one request, so every windowed Submit dispatches at once).
+constexpr QueryRequest::Admission kAdmissionModes[] = {
+    QueryRequest::Admission::kImmediate, QueryRequest::Admission::kWindow};
+
+EngineOptions ServingOptions(QueryRequest::Admission admission) {
+  EngineOptions options;
+  options.num_threads = 1;
+  if (admission == QueryRequest::Admission::kWindow) {
+    options.admission_max_batch = 1;
+  }
+  return options;
+}
+
+const char* AdmissionName(QueryRequest::Admission admission) {
+  return admission == QueryRequest::Admission::kWindow ? "window"
+                                                       : "immediate";
 }
 
 // Every test leaves the process-wide injector disarmed, whatever path it
@@ -137,14 +163,6 @@ TEST_F(FaultServingTest, StrictServingRefusesWhileAShardIsOut) {
 
 TEST_F(FaultServingTest, DegradedServingAnswersFromTheSurvivors) {
   Fixture fx = MakeFixture("fsv_degraded");
-  EngineOptions options;
-  options.num_threads = 1;
-  options.degraded_reads = true;  // implies allow_quarantine
-  options.fault_plan = "shard.open.1=1";
-  auto opened = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  ASSERT_EQ(opened.value().sharded->ShardsFailed(), 1u);
-  FaultInjector::Global().Disarm();
 
   // Ground truth: an in-memory engine over exactly the surviving triples.
   const TripleStore survivors = SurvivorStore(fx.store, 1);
@@ -152,56 +170,70 @@ TEST_F(FaultServingTest, DegradedServingAnswersFromTheSurvivors) {
   base.num_threads = 1;
   Engine baseline(&survivors, &fx.rules, base);
 
-  for (size_t q = 0; q < fx.queries.size(); ++q) {
-    QueryResponse expected = SubmitImmediate(baseline, fx.queries[q]);
-    ASSERT_TRUE(expected.ok());
-    QueryResponse got =
-        SubmitImmediate(*opened.value().engine, fx.queries[q]);
-    ASSERT_TRUE(got.ok()) << got.status.ToString();
-    EXPECT_TRUE(got.partial) << "degraded answers must be marked partial";
-    EXPECT_EQ(got.stats.shards_failed, 1u);
-    EXPECT_EQ(got.stats.shards_total, 4u);
-    ASSERT_EQ(got.rows.size(), expected.rows.size()) << "query " << q;
-    for (size_t i = 0; i < expected.rows.size(); ++i) {
-      EXPECT_EQ(got.rows[i].bindings, expected.rows[i].bindings)
-          << "query " << q << " row " << i;
-      EXPECT_EQ(got.rows[i].score, expected.rows[i].score)
-          << "query " << q << " row " << i;
+  for (const QueryRequest::Admission admission : kAdmissionModes) {
+    SCOPED_TRACE(AdmissionName(admission));
+    EngineOptions options = ServingOptions(admission);
+    options.degraded_reads = true;  // implies allow_quarantine
+    options.fault_plan = "shard.open.1=1";
+    auto opened = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_EQ(opened.value().sharded->ShardsFailed(), 1u);
+    FaultInjector::Global().Disarm();
+
+    for (size_t q = 0; q < fx.queries.size(); ++q) {
+      QueryResponse expected = SubmitImmediate(baseline, fx.queries[q]);
+      ASSERT_TRUE(expected.ok());
+      QueryResponse got =
+          SubmitVia(*opened.value().engine, fx.queries[q], admission);
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      EXPECT_TRUE(got.partial) << "degraded answers must be marked partial";
+      EXPECT_EQ(got.stats.shards_failed, 1u);
+      EXPECT_EQ(got.stats.shards_total, 4u);
+      ASSERT_EQ(got.rows.size(), expected.rows.size()) << "query " << q;
+      for (size_t i = 0; i < expected.rows.size(); ++i) {
+        EXPECT_EQ(got.rows[i].bindings, expected.rows[i].bindings)
+            << "query " << q << " row " << i;
+        EXPECT_EQ(got.rows[i].score, expected.rows[i].score)
+            << "query " << q << " row " << i;
+      }
     }
   }
 }
 
 TEST_F(FaultServingTest, MidQueryFaultInvalidatesThenServesPartial) {
   Fixture fx = MakeFixture("fsv_midquery");
-  EngineOptions options;
-  options.num_threads = 1;
-  options.degraded_reads = true;
-  auto opened = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  Engine& engine = *opened.value().engine;
+  for (const QueryRequest::Admission admission : kAdmissionModes) {
+    SCOPED_TRACE(AdmissionName(admission));
+    EngineOptions options = ServingOptions(admission);
+    options.degraded_reads = true;
+    auto opened = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Engine& engine = *opened.value().engine;
 
-  // Healthy bundle first: full answers, not partial.
-  QueryResponse healthy = SubmitImmediate(engine, fx.queries[0]);
-  ASSERT_TRUE(healthy.ok()) << healthy.status.ToString();
-  EXPECT_FALSE(healthy.partial);
-  EXPECT_EQ(healthy.stats.shards_failed, 0u);
+    // Healthy bundle first: full answers, not partial.
+    QueryResponse healthy = SubmitVia(engine, fx.queries[0], admission);
+    ASSERT_TRUE(healthy.ok()) << healthy.status.ToString();
+    EXPECT_FALSE(healthy.partial);
+    EXPECT_EQ(healthy.stats.shards_failed, 0u);
 
-  // Arm one read fault: it lands mid-query (the scatter quarantines shard
-  // 2 and restarts), so the fault epoch moves under the running query and
-  // the postflight refuses to vouch for the answer.
-  ScopedFaultPlan plan("shard.read.2=1@1");
-  QueryResponse faulted = SubmitImmediate(engine, fx.queries[1]);
-  EXPECT_EQ(faulted.status.code(), StatusCode::kIoError)
-      << faulted.status.ToString();
-  EXPECT_TRUE(faulted.rows.empty());
-  EXPECT_EQ(faulted.stats.shards_failed, 1u);
+    // Arm one read fault: it lands mid-query (the scatter quarantines
+    // shard 2 and restarts), so the fault epoch moves under the running
+    // query and Finish refuses to vouch for the answer.
+    ScopedFaultPlan plan("shard.read.2=1@1");
+    QueryResponse faulted = SubmitVia(engine, fx.queries[1], admission);
+    EXPECT_EQ(faulted.status.code(), StatusCode::kIoError)
+        << faulted.status.ToString();
+    EXPECT_TRUE(faulted.rows.empty());
+    EXPECT_FALSE(faulted.partial);
+    EXPECT_EQ(faulted.stats.shards_failed, 1u);
 
-  // The retry the IoError asks for: served degraded from the survivors.
-  QueryResponse retried = SubmitImmediate(engine, fx.queries[1]);
-  ASSERT_TRUE(retried.ok()) << retried.status.ToString();
-  EXPECT_TRUE(retried.partial);
-  EXPECT_EQ(retried.stats.shards_failed, 1u);
-  EXPECT_EQ(retried.stats.shards_total, 4u);
+    // The retry the IoError asks for: served degraded from the survivors.
+    QueryResponse retried = SubmitVia(engine, fx.queries[1], admission);
+    ASSERT_TRUE(retried.ok()) << retried.status.ToString();
+    EXPECT_TRUE(retried.partial);
+    EXPECT_EQ(retried.stats.shards_failed, 1u);
+    EXPECT_EQ(retried.stats.shards_total, 4u);
+  }
 }
 
 TEST_F(FaultServingTest, BlockDecodeFaultSurfacesAsIoErrorOnSingleFile) {
@@ -209,39 +241,41 @@ TEST_F(FaultServingTest, BlockDecodeFaultSurfacesAsIoErrorOnSingleFile) {
   const std::string path = FreshDir("fsv_blockfault_single") + "/store.sqps";
   ASSERT_TRUE(SaveStore(fx.store, path).ok());  // single-file v3
 
-  EngineOptions options;
-  options.num_threads = 1;
-  auto opened = Engine::OpenFromPath(path, &fx.rules, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-
-  // Every block decode fails: the scan observes the placeholder block,
-  // sees the fault count move, and the response refuses instead of
-  // silently serving zero-entry postings.
-  {
-    ScopedFaultPlan plan("block.decode=1");
-    QueryResponse response =
-        SubmitImmediate(*opened.value().engine, fx.queries[0]);
-    EXPECT_EQ(response.status.code(), StatusCode::kIoError)
-        << response.status.ToString();
-    EXPECT_TRUE(response.rows.empty());
-    EXPECT_GT(response.stats.store_faults, 0u);
-  }
-
-  // The fault was transient and the placeholder was never memoised: the
-  // same query re-decodes cleanly and matches an unfaulted baseline.
   EngineOptions base;
   base.num_threads = 1;
   Engine baseline(&fx.store, &fx.rules, base);
   QueryResponse expected = SubmitImmediate(baseline, fx.queries[0]);
   ASSERT_TRUE(expected.ok());
-  QueryResponse recovered =
-      SubmitImmediate(*opened.value().engine, fx.queries[0]);
-  ASSERT_TRUE(recovered.ok()) << recovered.status.ToString();
-  EXPECT_EQ(recovered.stats.store_faults, 0u);
-  ASSERT_EQ(recovered.rows.size(), expected.rows.size());
-  for (size_t i = 0; i < expected.rows.size(); ++i) {
-    EXPECT_EQ(recovered.rows[i].bindings, expected.rows[i].bindings);
-    EXPECT_EQ(recovered.rows[i].score, expected.rows[i].score);
+
+  for (const QueryRequest::Admission admission : kAdmissionModes) {
+    SCOPED_TRACE(AdmissionName(admission));
+    auto opened =
+        Engine::OpenFromPath(path, &fx.rules, ServingOptions(admission));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Engine& engine = *opened.value().engine;
+
+    // Every block decode fails: the scan observes the placeholder block,
+    // sees the fault count move, and the response refuses instead of
+    // silently serving zero-entry postings.
+    {
+      ScopedFaultPlan plan("block.decode=1");
+      QueryResponse response = SubmitVia(engine, fx.queries[0], admission);
+      EXPECT_EQ(response.status.code(), StatusCode::kIoError)
+          << response.status.ToString();
+      EXPECT_TRUE(response.rows.empty());
+      EXPECT_GT(response.stats.store_faults, 0u);
+    }
+
+    // The fault was transient and the placeholder was never memoised: the
+    // same query re-decodes cleanly and matches an unfaulted baseline.
+    QueryResponse recovered = SubmitVia(engine, fx.queries[0], admission);
+    ASSERT_TRUE(recovered.ok()) << recovered.status.ToString();
+    EXPECT_EQ(recovered.stats.store_faults, 0u);
+    ASSERT_EQ(recovered.rows.size(), expected.rows.size());
+    for (size_t i = 0; i < expected.rows.size(); ++i) {
+      EXPECT_EQ(recovered.rows[i].bindings, expected.rows[i].bindings);
+      EXPECT_EQ(recovered.rows[i].score, expected.rows[i].score);
+    }
   }
 }
 
@@ -315,6 +349,58 @@ TEST_F(FaultServingTest, QueueDepthShedsWithRetryAfterHint) {
   engine.admission().Flush();
   QueryResponse resubmitted = readmitted.get();
   EXPECT_TRUE(resubmitted.ok()) << resubmitted.status.ToString();
+}
+
+TEST_F(FaultServingTest, QueueDepthCapHoldsUnderConcurrentSubmitters) {
+  // Submitters released together all pass the early (pre-parse) depth
+  // check before any of them enqueues; the cap must still hold. The query
+  // text carries a megabyte of whitespace, so every parse — the gap
+  // between that check and the enqueue — outlasts the latch's wake-up of
+  // all the submitters.
+  Fixture fx = MakeFixture("fsv_shed_race");
+  std::string text = fx.queries[0].ToString(fx.store.dict());
+  text.insert(text.find('{') + 1, std::string(size_t{1} << 20, ' '));
+  constexpr size_t kCap = 2;
+  constexpr size_t kSubmitters = 16;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(round);
+    EngineOptions options;
+    options.num_threads = 1;
+    options.admission_max_queue = kCap;
+    options.admission_max_batch = 64;        // windows stay open until
+    options.admission_max_delay_ms = 60000;  // the Flush below
+    Engine engine(&fx.store, &fx.rules, options);
+
+    std::vector<std::future<QueryResponse>> futures(kSubmitters);
+    std::latch start(kSubmitters);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kSubmitters; ++t) {
+      threads.emplace_back([&engine, &futures, &start, &text, t] {
+        start.arrive_and_wait();
+        futures[t] = engine.Submit(QueryRequest::FromText(text));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    const auto stats = engine.admission().stats();
+    EXPECT_LE(stats.submitted, kCap);
+    EXPECT_EQ(stats.submitted + stats.shed_queue_full, kSubmitters);
+    EXPECT_EQ(stats.rejected_at_submit, stats.shed_queue_full);
+
+    engine.admission().Flush();
+    size_t answered = 0;
+    for (std::future<QueryResponse>& future : futures) {
+      const QueryResponse response = future.get();
+      if (response.ok()) {
+        ++answered;
+      } else {
+        EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
+            << response.status.ToString();
+        EXPECT_GT(response.retry_after_ms, 0.0);
+      }
+    }
+    EXPECT_EQ(answered, stats.submitted);
+  }
 }
 
 TEST_F(FaultServingTest, HopelessDeadlineIsShedAtSubmit) {

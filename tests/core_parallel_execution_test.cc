@@ -32,8 +32,8 @@ EngineOptions ParallelOptions(int threads) {
   return options;
 }
 
-void ExpectIdenticalRows(const Engine::QueryResult& expected,
-                         const Engine::QueryResult& actual,
+void ExpectIdenticalRows(const QueryResponse& expected,
+                         const QueryResponse& actual,
                          const std::string& label) {
   ASSERT_EQ(actual.rows.size(), expected.rows.size()) << label;
   for (size_t i = 0; i < expected.rows.size(); ++i) {

@@ -3,6 +3,7 @@
 // per-request execution overrides.
 
 #include <future>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,7 @@ TEST(SubmitTest, ImmediateMatchesHelperExecute) {
   const Query query = fx.TypeQuery({"singer", "lyricist"});
   for (Strategy strategy :
        {Strategy::kSpecQp, Strategy::kTrinit, Strategy::kNoRelax}) {
-    const Engine::QueryResult expected = testing::Execute(engine, query, 5, strategy);
+    const QueryResponse expected = testing::Execute(engine, query, 5, strategy);
     QueryRequest request = QueryRequest::FromQuery(query, 5, strategy);
     request.admission = QueryRequest::Admission::kImmediate;
     std::future<QueryResponse> future = engine.Submit(std::move(request));
@@ -143,7 +144,7 @@ TEST(SubmitTest, SerialAndParallelMinRowsOverridesKeepAnswers) {
   options.parallel_min_rows = 1u << 30;  // engine-wide: never partition
   Engine engine(&fx.store, &fx.rules, options);
   const Query query = fx.TypeQuery({"singer", "lyricist", "guitarist"});
-  const Engine::QueryResult expected = testing::Execute(engine, query, 5,
+  const QueryResponse expected = testing::Execute(engine, query, 5,
                                                       Strategy::kSpecQp);
   EXPECT_EQ(expected.stats.parallel_partitions, 0u);
 
@@ -175,34 +176,58 @@ TEST(ExplainTest, MatchesPlanOnlyAndStaticPlans) {
   Engine engine(&fx.store, &fx.rules);
   const Query query = fx.TypeQuery({"singer", "lyricist"});
 
-  PlanDiagnostics diag;
-  const QueryPlan expected = engine.PlanOnly(query, 10, &diag);
-  const QueryResponse spec = engine.Explain(QueryRequest::FromQuery(query, 10));
-  ASSERT_TRUE(spec.ok());
-  EXPECT_TRUE(spec.rows.empty());
-  EXPECT_EQ(spec.plan.join_group, expected.join_group);
-  EXPECT_EQ(spec.plan.singletons, expected.singletons);
-  EXPECT_EQ(spec.diagnostics.decisions.size(), diag.decisions.size());
-  EXPECT_EQ(spec.diagnostics.eq_k, diag.eq_k);
+  // Explain plans exactly what every execution path plans: immediate
+  // Submit, windowed Submit, and a BatchExecutor batch.
+  for (const Strategy strategy :
+       {Strategy::kSpecQp, Strategy::kTrinit, Strategy::kNoRelax}) {
+    const std::string label(StrategyName(strategy));
+    const QueryResponse explained =
+        engine.Explain(QueryRequest::FromQuery(query, 10, strategy));
+    ASSERT_TRUE(explained.ok()) << label;
+    EXPECT_TRUE(explained.rows.empty()) << label;
 
-  const QueryResponse trinit = engine.Explain(
-      QueryRequest::FromQuery(query, 10, Strategy::kTrinit));
-  ASSERT_TRUE(trinit.ok());
-  EXPECT_EQ(trinit.plan.singletons.size(), query.num_patterns());
-
-  const QueryResponse norelax = engine.Explain(
-      QueryRequest::FromQuery(query, 10, Strategy::kNoRelax));
-  ASSERT_TRUE(norelax.ok());
-  EXPECT_EQ(norelax.plan.join_group.size(), query.num_patterns());
+    QueryRequest immediate = QueryRequest::FromQuery(query, 10, strategy);
+    immediate.admission = QueryRequest::Admission::kImmediate;
+    std::vector<QueryResponse> executed;
+    executed.push_back(engine.Submit(std::move(immediate)).get());
+    std::future<QueryResponse> windowed =
+        engine.Submit(QueryRequest::FromQuery(query, 10, strategy));
+    engine.admission().Flush();
+    executed.push_back(windowed.get());
+    executed.push_back(
+        testing::ExecuteBatch(engine, std::span<const Query>(&query, 1), 10,
+                              strategy)
+            .front());
+    for (size_t path = 0; path < executed.size(); ++path) {
+      const QueryResponse& reference = executed[path];
+      ASSERT_TRUE(reference.ok()) << label << " path " << path;
+      EXPECT_EQ(explained.plan.join_group, reference.plan.join_group)
+          << label << " path " << path;
+      EXPECT_EQ(explained.plan.singletons, reference.plan.singletons)
+          << label << " path " << path;
+      EXPECT_EQ(explained.diagnostics.decisions.size(),
+                reference.diagnostics.decisions.size())
+          << label << " path " << path;
+      EXPECT_EQ(explained.diagnostics.eq_k, reference.diagnostics.eq_k)
+          << label << " path " << path;
+    }
+    if (strategy == Strategy::kTrinit) {
+      EXPECT_EQ(explained.plan.singletons.size(), query.num_patterns());
+    } else if (strategy == Strategy::kNoRelax) {
+      EXPECT_EQ(explained.plan.join_group.size(), query.num_patterns());
+    }
+  }
 
   // Text resolution and error propagation.
+  const QueryResponse expected =
+      engine.Explain(QueryRequest::FromQuery(query, 10));
   const QueryResponse text_explain = engine.Explain(QueryRequest::FromText(
       "SELECT ?s WHERE { ?s <rdf:type> <singer> . "
       "?s <rdf:type> <lyricist> }",
       10));
   ASSERT_TRUE(text_explain.ok());
-  EXPECT_EQ(text_explain.plan.join_group, expected.join_group);
-  EXPECT_EQ(text_explain.plan.singletons, expected.singletons);
+  EXPECT_EQ(text_explain.plan.join_group, expected.plan.join_group);
+  EXPECT_EQ(text_explain.plan.singletons, expected.plan.singletons);
 
   const QueryResponse bad = engine.Explain(QueryRequest::FromText("nope", 10));
   EXPECT_FALSE(bad.ok());

@@ -143,7 +143,7 @@ TEST(ShardedEngineTest, WorkloadBitIdenticalAcrossBackends) {
         uint64_t raced = 0;
         for (size_t s = 0; s < std::size(kStrategies); ++s) {
           for (size_t q = 0; q < dataset.workload->size(); ++q) {
-            const Engine::QueryResult result =
+            const QueryResponse result =
                 testing::Execute(*opened.value().engine,
                                  (*dataset.workload)[q], 10, kStrategies[s]);
             raced += result.stats.plans_raced;

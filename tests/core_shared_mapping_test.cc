@@ -126,7 +126,7 @@ bool ReadAll(int fd, void* data, size_t n) {
 
   uint64_t digest = 0xCBF29CE484222325ULL;
   for (const Query& query : queries) {
-    const Engine::QueryResult result =
+    const QueryResponse result =
         testing::Execute(*opened.value().engine, query, 10,
                          Strategy::kSpecQp);
     digest = FoldRows(digest, result.rows);

@@ -145,7 +145,7 @@ struct SpecFixture {
         v3::StatsEntry{kInvalidTermId, p, obj_c, 0, kAnswers, 1.0, 9.6, 12.0});
   }
 
-  Engine::QueryResult Run(Engine& engine, size_t k = 10) const {
+  QueryResponse Run(Engine& engine, size_t k = 10) const {
     // The paper's warm-cache setting — and a fairness requirement here: a
     // race must be decided by plan quality, not by which racer happens to
     // pay the one-off posting-list build for the shared store.
@@ -174,7 +174,7 @@ TEST(SpeculativeExecutionTest, ForcedRaceRunnerUpMustWin) {
   // {A,B,C} and this is the ground-truth top-k.
   EngineOptions plain = BaseOptions();
   Engine reference(&fx.store, &fx.rules, plain);
-  const Engine::QueryResult expected = fx.Run(reference);
+  const QueryResponse expected = fx.Run(reference);
   ASSERT_EQ(expected.rows.size(), 10u);
   EXPECT_EQ(expected.stats.plans_raced, 0u);
 
@@ -185,7 +185,7 @@ TEST(SpeculativeExecutionTest, ForcedRaceRunnerUpMustWin) {
   racing.speculate_threshold = 2.0;  // confidence is in [0,1]: always race
   Engine engine(&fx.store, &fx.rules, racing);
   engine.catalog().Preload(fx.poison_a);
-  const Engine::QueryResult result = fx.Run(engine);
+  const QueryResponse result = fx.Run(engine);
 
   EXPECT_EQ(result.stats.plans_raced, 2u);
   EXPECT_EQ(result.stats.race_wins_by_runnerup, 1u)
@@ -230,7 +230,7 @@ TEST(SpeculativeExecutionTest, LoserCancellationLatencyBound) {
   engine.catalog().Preload(fx.poison_a);
 
   for (int rep = 0; rep < 5; ++rep) {
-    const Engine::QueryResult result = fx.Run(engine);
+    const QueryResponse result = fx.Run(engine);
     ASSERT_EQ(result.stats.plans_raced, 2u);
     EXPECT_LT(result.stats.race_loser_abort_ms, kAbortBudgetMs)
         << "rep " << rep;
@@ -260,7 +260,7 @@ TEST(SpeculativeExecutionTest, LoserCancellationLatencyBoundStrict) {
   engine.catalog().Preload(fx.poison_a);
 
   for (int rep = 0; rep < 5; ++rep) {
-    const Engine::QueryResult result = fx.Run(engine);
+    const QueryResponse result = fx.Run(engine);
     ASSERT_EQ(result.stats.plans_raced, 2u);
     // The loser polls its interrupt per row; from the winner's claim to the
     // loser's wind-down must stay inside the abort budget.
@@ -277,14 +277,14 @@ TEST(SpeculativeExecutionTest, RacedStatsAreWinnerOnlyPlusLedger) {
   EngineOptions off = BaseOptions();
   Engine engine_off(&fx.store, &fx.rules, off);
   engine_off.catalog().Preload(fx.poison_a);
-  const Engine::QueryResult slow = fx.Run(engine_off);
+  const QueryResponse slow = fx.Run(engine_off);
 
   EngineOptions racing = BaseOptions();
   racing.num_threads = 2;
   racing.speculate_threshold = 2.0;
   Engine engine_on(&fx.store, &fx.rules, racing);
   engine_on.catalog().Preload(fx.poison_a);
-  const Engine::QueryResult raced = fx.Run(engine_on);
+  const QueryResponse raced = fx.Run(engine_on);
   ASSERT_EQ(raced.stats.race_wins_by_runnerup, 1u);
 
   // Winner-only folding: the raced result's operator counters reflect the
@@ -307,7 +307,7 @@ TEST(SpeculativeExecutionTest, ReplanRestartIsBitIdentical) {
   Engine engine_plain(&fx.store, &fx.rules, plain);
   engine_plain.catalog().Preload(fx.poison_a);
   engine_plain.catalog().Preload(fx.poison_c);
-  const Engine::QueryResult expected = fx.Run(engine_plain);
+  const QueryResponse expected = fx.Run(engine_plain);
   EXPECT_EQ(expected.stats.replans_triggered, 0u);
 
   // Adaptive: C's cardinality is claimed ~2500x low, so the divergence
@@ -319,7 +319,7 @@ TEST(SpeculativeExecutionTest, ReplanRestartIsBitIdentical) {
   Engine engine_adaptive(&fx.store, &fx.rules, adaptive);
   engine_adaptive.catalog().Preload(fx.poison_a);
   engine_adaptive.catalog().Preload(fx.poison_c);
-  const Engine::QueryResult replanned = fx.Run(engine_adaptive);
+  const QueryResponse replanned = fx.Run(engine_adaptive);
 
   EXPECT_EQ(replanned.stats.replans_triggered, 1u);
   ExpectSameRows(expected.rows, replanned.rows, "replan restart");
@@ -454,7 +454,7 @@ TEST(SpeculativeExecutionTest, ProbeBitIdenticalWithSpeculationForcedOn) {
         Engine engine(bundle.store, bundle.rules, options);
         uint64_t raced = 0;
         for (size_t q = 0; q < bundle.workload->size(); ++q) {
-          const Engine::QueryResult result = testing::Execute(
+          const QueryResponse result = testing::Execute(
               engine, (*bundle.workload)[q], 10, strategy);
           raced += result.stats.plans_raced;
           ExpectSameRows(

@@ -89,7 +89,7 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
     // Ground truth: the in-memory engine, whose flat lists never touch the
     // block counters.
     Engine reference(bundle.store, bundle.rules);
-    std::vector<std::vector<Engine::QueryResult>> expected(
+    std::vector<std::vector<QueryResponse>> expected(
         std::size(strategies));
     for (size_t si = 0; si < std::size(strategies); ++si) {
       expected[si].reserve(bundle.workload->size());

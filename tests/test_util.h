@@ -25,44 +25,33 @@ namespace specqp::testing {
 // ---------------------------------------------------------------------------
 // Unified-API execution helpers. Tests execute through the same entry
 // points as any caller — Submit with immediate admission for one query,
-// BatchExecutor for a pre-assembled batch — and unpack the response into
-// the batch layer's QueryResult record for comparison convenience.
+// BatchExecutor for a pre-assembled batch — and compare QueryResponses.
 // ---------------------------------------------------------------------------
-
-inline Engine::QueryResult ToQueryResult(QueryResponse response) {
-  Engine::QueryResult result;
-  result.plan = std::move(response.plan);
-  result.diagnostics = std::move(response.diagnostics);
-  result.rows = std::move(response.rows);
-  result.stats = response.stats;
-  return result;
-}
 
 // One pre-parsed query, immediate admission; CHECKs the terminal status
 // (nothing on this path can fail for a well-formed request).
-inline Engine::QueryResult Execute(Engine& engine, const Query& query,
-                                   size_t k, Strategy strategy) {
+inline QueryResponse Execute(Engine& engine, const Query& query, size_t k,
+                             Strategy strategy) {
   QueryRequest request = QueryRequest::FromQuery(query, k, strategy);
   request.admission = QueryRequest::Admission::kImmediate;
   QueryResponse response = engine.Submit(std::move(request)).get();
   SPECQP_CHECK(response.status.ok()) << response.status.ToString();
-  return ToQueryResult(std::move(response));
+  return response;
 }
 
 // One text query, immediate admission; a parse error comes back as the
 // Result's status.
-inline Result<Engine::QueryResult> ExecuteText(Engine& engine,
-                                               std::string_view text, size_t k,
-                                               Strategy strategy) {
+inline Result<QueryResponse> ExecuteText(Engine& engine, std::string_view text,
+                                         size_t k, Strategy strategy) {
   QueryRequest request =
       QueryRequest::FromText(std::string(text), k, strategy);
   request.admission = QueryRequest::Admission::kImmediate;
   QueryResponse response = engine.Submit(std::move(request)).get();
   if (!response.status.ok()) return response.status;
-  return ToQueryResult(std::move(response));
+  return response;
 }
 
-inline std::vector<Engine::QueryResult> ExecuteBatch(
+inline std::vector<QueryResponse> ExecuteBatch(
     Engine& engine, std::span<const Query> queries, size_t k,
     Strategy strategy, BatchStats* batch_stats = nullptr) {
   BatchExecutor batch(&engine);
@@ -71,10 +60,10 @@ inline std::vector<Engine::QueryResult> ExecuteBatch(
 
 // Parses every text and batch-executes the ones that parse; a slot that
 // fails to parse carries its parse error and does not affect the others.
-inline std::vector<Result<Engine::QueryResult>> ExecuteTextBatch(
+inline std::vector<Result<QueryResponse>> ExecuteTextBatch(
     Engine& engine, std::span<const std::string> texts, size_t k,
     Strategy strategy, BatchStats* batch_stats = nullptr) {
-  std::vector<Result<Engine::QueryResult>> out;
+  std::vector<Result<QueryResponse>> out;
   out.reserve(texts.size());
   std::vector<Query> parsed;
   std::vector<size_t> parsed_slot;
@@ -90,14 +79,13 @@ inline std::vector<Result<Engine::QueryResult>> ExecuteTextBatch(
       errors[i] = query.status();
     }
   }
-  std::vector<Engine::QueryResult> results =
+  std::vector<QueryResponse> results =
       ExecuteBatch(engine, parsed, k, strategy, batch_stats);
   for (size_t i = 0; i < texts.size(); ++i) {
     if (parsed_slot[i] == kFailed) {
-      out.push_back(Result<Engine::QueryResult>(errors[i]));
+      out.push_back(Result<QueryResponse>(errors[i]));
     } else {
-      out.push_back(
-          Result<Engine::QueryResult>(std::move(results[parsed_slot[i]])));
+      out.push_back(Result<QueryResponse>(std::move(results[parsed_slot[i]])));
     }
   }
   return out;
