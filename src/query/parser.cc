@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/string_util.h"
@@ -176,8 +178,12 @@ class Parser {
       for (VarId v = 0; v < query.num_vars(); ++v) query.AddProjection(v);
     } else {
       for (const std::string& name : proj_names) {
-        SPECQP_ASSIGN_OR_RETURN(VarId v, query.FindVariable(name));
-        query.AddProjection(v);
+        const auto it = var_ids_.find(name);
+        if (it == var_ids_.end()) {
+          return Status::NotFound(
+              StrFormat("unknown variable '?%s'", name.c_str()));
+        }
+        query.AddProjection(it->second);
       }
     }
     return query;
@@ -205,9 +211,18 @@ class Parser {
   Result<PatternTerm> ParseTerm(Query* query) {
     const Token& tok = Peek();
     if (tok.type == TokenType::kVariable) {
-      const VarId v = query->GetOrAddVariable(tok.text);
+      auto it = var_ids_.find(tok.text);
+      if (it == var_ids_.end()) {
+        // VarId kInvalidVarId marks "no variable", so the ids run out one
+        // short of the VarId range.
+        if (query->num_vars() >= kInvalidVarId) {
+          return Error(StrFormat("more than %u distinct variables",
+                                 static_cast<unsigned>(kInvalidVarId)));
+        }
+        it = var_ids_.emplace(tok.text, query->AddVariable(tok.text)).first;
+      }
       Advance();
-      return PatternTerm::Var(v);
+      return PatternTerm::Var(it->second);
     }
     if (tok.type == TokenType::kConstant) {
       TermId id;
@@ -232,6 +247,9 @@ class Parser {
   size_t pos_ = 0;
   Dictionary* dict_;
   ParseOptions options_;
+  // Variable name -> VarId of the query being parsed. The keys view the
+  // token texts, which tokens_ keeps in place for the parser's lifetime.
+  std::unordered_map<std::string_view, VarId> var_ids_;
 };
 
 }  // namespace

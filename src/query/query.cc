@@ -11,6 +11,10 @@ VarId Query::GetOrAddVariable(std::string_view name) {
   for (size_t i = 0; i < var_names_.size(); ++i) {
     if (var_names_[i] == name) return static_cast<VarId>(i);
   }
+  return AddVariable(name);
+}
+
+VarId Query::AddVariable(std::string_view name) {
   SPECQP_CHECK(var_names_.size() < kInvalidVarId);
   var_names_.emplace_back(name);
   return static_cast<VarId>(var_names_.size() - 1);

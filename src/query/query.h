@@ -27,8 +27,14 @@ class Query {
   Query& operator=(Query&&) = default;
 
   // Returns the VarId for `name` (without the leading '?'), registering it
-  // on first use.
+  // on first use. The lookup scans every registered name.
   VarId GetOrAddVariable(std::string_view name);
+
+  // Registers `name` (without the leading '?') as a new variable and
+  // returns its VarId. The caller guarantees `name` is not registered yet
+  // and num_vars() < kInvalidVarId; the parser keeps its own name index to
+  // check the first, so a query of n variables parses in O(n).
+  VarId AddVariable(std::string_view name);
 
   [[nodiscard]] Result<VarId> FindVariable(std::string_view name) const;
 

@@ -119,6 +119,21 @@ class BlockIterator {
   // The reference is valid until the iterator moves to another block.
   const PostingEntry& Entry();
 
+  // The entry `distance` positions past the current one if it can be
+  // addressed as things stand: in a flat list, or inside the block that
+  // is materialised now. nullptr otherwise (past the end, or in a block
+  // not yet decoded). Never decodes, so the block counters cannot move;
+  // scans use it to prefetch the triples of entries they will read next.
+  const PostingEntry* LookAhead(size_t distance) const {
+    const size_t ahead = pos_ + distance;
+    if (ahead >= size_) return nullptr;
+    if (source_ == nullptr) return &flat_[ahead];
+    if (cur_ == nullptr || ahead / kPostingBlockEntries != cur_block_) {
+      return nullptr;
+    }
+    return &cur_->entries[ahead % kPostingBlockEntries];
+  }
+
   // Steps to the next entry. Decoding stays deferred when the step lands
   // exactly on a block boundary (the skip primitives may then discard that
   // block untouched).

@@ -215,6 +215,10 @@ class ShardedStore : public ShardedTripleSource {
   // --- ShardedTripleSource (consumed via the TripleStore facade) ----------
   size_t NumTriples() const override { return loc_shard_.size(); }
   const Triple& TripleAt(uint32_t global_index) const override;
+  void PrefetchTriple(uint32_t global_index) const override {
+    shards_[loc_shard_[global_index]]->store().PrefetchTriple(
+        loc_local_[global_index]);
+  }
   std::span<const uint32_t> Match(const PatternKey& key) const override;
 
  private:

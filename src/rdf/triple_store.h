@@ -35,6 +35,10 @@ class ShardedTripleSource {
   // The triple at a global index; the reference aliases a shard mapping.
   virtual const Triple& TripleAt(uint32_t global_index) const = 0;
 
+  // Hints that TripleAt(global_index) comes soon. Only a performance hint:
+  // the default does nothing.
+  virtual void PrefetchTriple(uint32_t /*global_index*/) const {}
+
   // Global indices matching `key`, in the same value order single-file
   // MatchIndices uses (gathered from the shards' indexes and merged).
   // The span stays valid for the source's lifetime.
@@ -139,7 +143,19 @@ class TripleStore {
     return sharded_ != nullptr ? sharded_->NumTriples() : triples().size();
   }
   const Triple& triple(uint32_t index) const {
-    return sharded_ != nullptr ? sharded_->TripleAt(index) : triples()[index];
+    return sharded_ != nullptr ? sharded_->TripleAt(index)
+                               : TripleData()[index];
+  }
+  // Starts loading triple(index) into the cache without waiting for it, so
+  // a scan can overlap the memory latency of the triples it reads next.
+  // `index` must be a valid triple index.
+  void PrefetchTriple(uint32_t index) const {
+    if (sharded_ != nullptr) {
+      sharded_->PrefetchTriple(index);
+      return;
+    }
+    SPECQP_DCHECK(index < size());
+    __builtin_prefetch(TripleData() + index);
   }
   // The contiguous triple array (SPO order). A sharded facade has none —
   // its triples live in N shard mappings — so iteration must go through
@@ -191,6 +207,12 @@ class TripleStore {
 
  private:
   void CheckFinalized() const;
+  // The triple array of a store that is not sharded. Unlike triples() it
+  // carries no CHECK, so the per-row accessors above compile to inline
+  // loads instead of an out-of-line call.
+  const Triple* TripleData() const {
+    return view_ ? triples_view_.data() : triples_.data();
+  }
   std::span<const uint32_t> SpoIndex() const {
     return view_ ? spo_view_ : std::span<const uint32_t>(spo_);
   }

@@ -103,7 +103,10 @@ Result<RelaxationIndex> LoadRules(const std::string& path) {
   uint64_t count = 0;
   std::memcpy(&count, payload, 8);
   constexpr size_t kRuleBytes = 6 * 4 + 8;
-  if (payload_size != 8 + count * kRuleBytes) {
+  // Bound the count before multiplying: count * kRuleBytes wraps for
+  // counts of 2^59 and more.
+  if (count > (payload_size - 8) / kRuleBytes ||
+      payload_size != 8 + count * kRuleBytes) {
     return Status::Corruption("rule count does not match payload size");
   }
 

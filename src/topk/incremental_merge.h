@@ -19,8 +19,9 @@ namespace specqp {
 // The same binding can be produced by several relaxations; Definition 8
 // keeps the maximum-score derivation. Because the merged stream is
 // descending, the first occurrence is the maximum, so later duplicates are
-// suppressed by a BindingSet (an arena of every emitted row, hash-indexed
-// in place).
+// suppressed by a BindingSet: one bit per emitted binding when a row binds
+// a single variable, as in a star query, and a hash-indexed arena of whole
+// rows otherwise.
 //
 // The next input comes from a max-heap of (bound, input): an input's
 // buffered head score once it has been pulled, its UpperBound() before.

@@ -4,6 +4,16 @@
 
 namespace specqp {
 
+namespace {
+
+// How many entries ahead of the one it reads the scan prefetches a triple.
+// Each entry's triple sits at a random index in the store's triple array,
+// and the operators above a scan do enough work per row that a few rows
+// cover one miss to memory.
+constexpr size_t kPrefetchDistance = 8;
+
+}  // namespace
+
 PatternScan::PatternScan(const TripleStore* store,
                          std::shared_ptr<const PostingList> list,
                          const TriplePattern& pattern, size_t width,
@@ -37,6 +47,9 @@ bool PatternScan::Next(ScoredRow* out) {
         }
       }
       return false;
+    }
+    if (const PostingEntry* ahead = iter_.LookAhead(kPrefetchDistance)) {
+      store_->PrefetchTriple(ahead->triple_index);
     }
     iter_.Advance();
     const Triple& t = store_->triple(entry.triple_index);

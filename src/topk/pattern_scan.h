@@ -54,7 +54,10 @@ class PatternScan final : public ScoredRowIterator {
   // undecoded block boundary PeekScore() answers from the block header
   // (bit-equal to the first entry's score), so UpperBound() never forces a
   // decode; blocks the scan never materialises are charged to
-  // stats_->blocks_skipped when the iterator is torn down.
+  // stats_->blocks_skipped when the iterator is torn down. Next()
+  // prefetches the triple of an entry a few positions ahead through
+  // LookAhead(), which never decodes, so the block counters are the same
+  // with and without the prefetch.
   BlockIterator iter_;
 };
 

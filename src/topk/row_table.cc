@@ -103,4 +103,43 @@ void RowTable::ReserveKey() {
   }
 }
 
+namespace {
+
+// The column of `row`'s only bound cell, or row.size() when it has none or
+// more than one.
+size_t SoleBoundColumn(std::span<const TermId> row) {
+  size_t column = row.size();
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (row[c] == kInvalidTermId) continue;
+    if (column != row.size()) return row.size();
+    column = c;
+  }
+  return column;
+}
+
+}  // namespace
+
+bool BindingSet::Insert(std::span<const TermId> bindings) {
+  if (width_ == SIZE_MAX) {
+    width_ = bindings.size();
+    bitmaps_.resize(width_);
+  }
+  SPECQP_CHECK(bindings.size() == width_) << "rows of one set share one width";
+  const size_t column = SoleBoundColumn(bindings);
+  if (column == width_ || bindings[column] >= kBitmapIdLimit) {
+    return table_.InsertIfAbsent(bindings);
+  }
+  const TermId id = bindings[column];
+  std::vector<uint64_t>& words = bitmaps_[column];
+  const size_t word = id / 64;
+  if (word >= words.size()) {
+    words.resize(std::min(std::max(word + 1, 2 * words.size()),
+                          size_t{kBitmapIdLimit / 64}));
+  }
+  const uint64_t bit = uint64_t{1} << (id % 64);
+  if ((words[word] & bit) != 0) return false;
+  words[word] |= bit;
+  return true;
+}
+
 }  // namespace specqp

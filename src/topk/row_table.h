@@ -17,8 +17,9 @@ namespace specqp {
 // Keys are hashed and compared in place in the arena, so neither a lookup
 // nor an insert builds a key object, and every array grows geometrically:
 // storing n rows costs O(log n) allocations and nothing per row. RankJoin
-// keeps one table per input, keyed on the join variables; BindingSet keys
-// on the whole row. The first insert fixes the row width.
+// keeps one table per input, keyed on the join variables; BindingSet keeps
+// one keyed on the whole row for the rows its bitmaps do not take. The
+// first insert fixes the row width.
 class RowTable {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -78,14 +79,28 @@ class RowTable {
 // First-occurrence set of binding rows for duplicate-answer suppression
 // (Definition 8: in a score-descending stream the first derivation of an
 // answer is its maximum). Used by IncrementalMerge and PullTopK.
+//
+// A row with exactly one bound cell, the shape every row of a
+// single-variable star query has, is recorded as one bit in a bitmap per
+// column indexed by TermId. A bitmap grows geometrically up to the largest
+// id seen in its column, so it stays about 15 KiB on a graph of ~120k
+// terms, where a hash index over the same rows grows to hundreds of KiB
+// and competes for cache with everything else the query touches. Every
+// other row (several bound cells, none, or an id at or past
+// kBitmapIdLimit) goes to a RowTable keyed on the whole row, the only
+// exact structure for those. The first insert fixes the row width.
 class BindingSet {
  public:
+  // Ids at or past this limit are never put in a bitmap, which caps one
+  // column's bitmap at 256 KiB.
+  static constexpr TermId kBitmapIdLimit = TermId{1} << 21;
+
   // True the first time `bindings` is inserted.
-  bool Insert(std::span<const TermId> bindings) {
-    return table_.InsertIfAbsent(bindings);
-  }
+  bool Insert(std::span<const TermId> bindings);
 
  private:
+  size_t width_ = SIZE_MAX;  // SIZE_MAX until the first insert
+  std::vector<std::vector<uint64_t>> bitmaps_;  // [column] bit per TermId
   RowTable table_ = RowTable::WholeRow();
 };
 

@@ -13,9 +13,9 @@ namespace specqp {
 // root emits in descending score order, so the driver simply takes the
 // first k distinct binding vectors. The dedup is defensive — operator trees
 // built by the plan executor already deduplicate within merges — and uses
-// the same arena-backed BindingSet as the merges, so it allocates O(log k)
-// times rather than once per answer; one row buffer is reused for every
-// pull.
+// the same BindingSet as the merges (a bitmap for single-binding rows, an
+// arena otherwise), which grows geometrically instead of allocating once
+// per answer; one row buffer is reused for every pull.
 std::vector<ScoredRow> PullTopK(ScoredRowIterator* root, size_t k,
                                 ExecStats* stats);
 

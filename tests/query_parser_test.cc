@@ -1,5 +1,7 @@
 #include "query/parser.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace specqp {
@@ -212,6 +214,50 @@ TEST(ParserTest, RoundTripThroughToString) {
     EXPECT_EQ(second.value().pattern(i).Key(),
               first.value().pattern(i).Key());
   }
+}
+
+// A query binding `num_vars` distinct variables, three per pattern, that
+// selects all of them by name. A short last pattern is filled with <plays>.
+std::string ManyVariablesQuery(size_t num_vars) {
+  std::string select = "SELECT";
+  std::string where = " WHERE {";
+  for (size_t first = 0; first < num_vars; first += 3) {
+    if (first > 0) where += " .";
+    for (size_t v = first; v < first + 3; ++v) {
+      if (v < num_vars) {
+        const std::string var = " ?v" + std::to_string(v);
+        select += var;
+        where += var;
+      } else {
+        where += " <plays>";
+      }
+    }
+  }
+  return select + where + " }";
+}
+
+TEST(ParserTest, AcceptsTheLargestVariableCount) {
+  Dictionary dict = MakeDict();
+  const size_t num_vars = kInvalidVarId;  // 65,535: ids 0..65,534
+  const auto result = ParseQuery(ManyVariablesQuery(num_vars), dict);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Query& q = result.value();
+  EXPECT_EQ(q.num_vars(), num_vars);
+  ASSERT_EQ(q.projection().size(), num_vars);
+  EXPECT_EQ(q.projection().back(), num_vars - 1);
+  EXPECT_EQ(q.var_name(static_cast<VarId>(num_vars - 1)), "v65534");
+  EXPECT_EQ(q.pattern(q.num_patterns() - 1).o.var(), num_vars - 1);
+}
+
+TEST(ParserTest, RejectsOneVariableTooMany) {
+  Dictionary dict = MakeDict();
+  const auto result =
+      ParseQuery(ManyVariablesQuery(size_t{kInvalidVarId} + 1), dict);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("distinct variables"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -277,5 +277,57 @@ TEST(BlockIteratorTest, SkipAllChargesRemainingBlocksAsSkipped) {
   EXPECT_EQ(decoded + skipped, list.blocks->num_blocks());
 }
 
+TEST(BlockIteratorTest, LookAheadNeverDecodes) {
+  Rng rng(59);
+  constexpr size_t kN = kPostingBlockEntries;
+  const std::vector<PostingEntry> entries = MakeEntries(&rng, 3 * kN, 10000);
+  constexpr size_t kDistance = 8;
+
+  // Flat list: every in-range position can be addressed.
+  PostingList flat;
+  flat.entries = entries;
+  BlockIterator flat_iter(&flat);
+  ASSERT_NE(flat_iter.LookAhead(kDistance), nullptr);
+  EXPECT_EQ(flat_iter.LookAhead(kDistance)->triple_index,
+            entries[kDistance].triple_index);
+  EXPECT_EQ(flat_iter.LookAhead(entries.size() - 1), &flat.entries.back());
+  EXPECT_EQ(flat_iter.LookAhead(entries.size()), nullptr);
+
+  const PostingList list = BlockListOf(entries, 10000);
+  uint64_t decoded = 0;
+  uint64_t skipped = 0;
+  BlockIterator iter(&list, &decoded, &skipped);
+  // On an undecoded block boundary there is no materialised block yet.
+  EXPECT_EQ(iter.LookAhead(kDistance), nullptr);
+  EXPECT_EQ(decoded, 0u);
+
+  // Inside the materialised block 0.
+  iter.Entry();
+  ASSERT_EQ(decoded, 1u);
+  const PostingEntry* ahead = iter.LookAhead(kDistance);
+  ASSERT_NE(ahead, nullptr);
+  EXPECT_EQ(ahead->triple_index, entries[kDistance].triple_index);
+  EXPECT_EQ(ahead->score, entries[kDistance].score);
+
+  // The last entries of block 0: the look-ahead lands in undecoded block 1.
+  for (size_t i = 0; i < kN - kDistance; ++i) iter.Advance();
+  ASSERT_EQ(iter.position(), kN - kDistance);
+  ASSERT_NE(iter.LookAhead(kDistance - 1), nullptr);
+  EXPECT_EQ(iter.LookAhead(kDistance - 1)->triple_index,
+            entries[kN - 1].triple_index);
+  for (size_t i = 0; i < kDistance; ++i, iter.Advance()) {
+    EXPECT_EQ(iter.LookAhead(kDistance), nullptr) << "position " << i;
+  }
+  EXPECT_EQ(decoded, 1u);
+  EXPECT_EQ(skipped, 0u);
+
+  // Past the end of the list.
+  iter.Entry();
+  EXPECT_EQ(decoded, 2u);
+  EXPECT_EQ(iter.LookAhead(2 * kN), nullptr);
+  EXPECT_EQ(decoded, 2u);
+  EXPECT_EQ(skipped, 0u);
+}
+
 }  // namespace
 }  // namespace specqp

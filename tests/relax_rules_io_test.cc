@@ -1,11 +1,14 @@
 #include "relax/rules_io.h"
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace specqp {
@@ -121,6 +124,42 @@ TEST(RulesIoTest, LoadRejectsTruncation) {
     auto r = LoadRules(cut_path);
     EXPECT_FALSE(r.ok()) << "cut at " << cut;
   }
+}
+
+TEST(RulesIoTest, LoadRejectsOverflowingRuleCount) {
+  // A one-rule file whose count field says 2^59 + 1 rules, with the CRC
+  // recomputed: (2^59 + 1) * 32 bytes per rule wraps to 32, the size of
+  // the one rule present, so a size check that multiplies first passes and
+  // the loader reads past the payload.
+  RelaxationIndex index;
+  ASSERT_TRUE(index
+                  .AddRule(RelaxationRule{PatternKey{kInvalidTermId, 1, 10},
+                                          PatternKey{kInvalidTermId, 1, 11},
+                                          0.5})
+                  .ok());
+  const std::string path = TempPath("overflow_count.sqpr");
+  ASSERT_TRUE(SaveRules(index, path).ok());
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::string blob(static_cast<size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
+  in.close();
+
+  constexpr size_t kHeader = 8 + 4;  // magic + version
+  const uint64_t count = (uint64_t{1} << 59) + 1;
+  std::memcpy(blob.data() + kHeader, &count, sizeof(count));
+  const uint32_t crc =
+      Crc32c(blob.data() + kHeader, blob.size() - kHeader - 4);
+  std::memcpy(blob.data() + blob.size() - 4, &crc, sizeof(crc));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  out.close();
+
+  auto r = LoadRules(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().ToString().find("rule count"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(AllRulesTest, DeterministicOrder) {
