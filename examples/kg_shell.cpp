@@ -415,13 +415,11 @@ class Shell {
     if (strategy == Strategy::kSpecQp && diag.has_runner_up) {
       std::printf(
           "  plan confidence %s (least confident: q%d); race candidates:\n"
-          "    primary   %s   est. cost %s\n"
-          "    runner-up %s   est. cost %s\n",
+          "    primary   %s\n"
+          "    runner-up %s\n",
           DoubleToString(diag.plan_confidence, 3).c_str(),
           diag.least_confident_pattern, response.plan.ToString().c_str(),
-          DoubleToString(diag.primary_cost_estimate, 0).c_str(),
-          diag.runner_up.ToString().c_str(),
-          DoubleToString(diag.runner_up_cost_estimate, 0).c_str());
+          diag.runner_up.ToString().c_str());
     }
   }
 

@@ -78,7 +78,7 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   // --- phase 2: mine expansions + shared-scan plan + stats snapshot -------
   WallTimer prepare_timer;
   RelaxationExpansionCache expansions(&engine_->rules());
-  SharedScanCache shared(&engine_->store(), &engine_->postings());
+  SharedScanCache shared(&engine_->postings());
 
   // The planning wave: every original pattern key, plus — per strategy —
   // the relaxation keys planning or execution is guaranteed to read.
@@ -112,7 +112,7 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   if (strategy == Strategy::kSpecQp) {
     // One statistics snapshot per batch: every pattern the planner will
     // consult is computed exactly once, against the lists the shared-scan
-    // plan just resolved (Prepare published derived lists into the engine
+    // plan just resolved (Prepare inserted derived lists into the engine
     // cache, so GetStats never rebuilds them).
     for (const PatternKey& key : wave) {
       engine_->catalog().GetStats(key);

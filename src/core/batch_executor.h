@@ -55,10 +55,10 @@ struct BatchStats {
 //   1. Dedup: structurally identical queries collapse onto one execution;
 //      duplicates receive copies of its result.
 //   2. Prepare: mine each distinct pattern's relaxation expansion once,
-//      then resolve every posting list the planner will read through the
-//      batch's SharedScanCache (object-bound siblings of one predicate are
-//      derived from a single shared scan), and warm the statistics catalog
-//      once per distinct pattern (kSpecQp).
+//      then pin every posting list the planner will read in the batch's
+//      SharedScanCache (resident lists as they are; missing object-bound
+//      siblings of one predicate derived from a single shared scan), and
+//      warm the statistics catalog once per distinct pattern (kSpecQp).
 //   3. Plan: each distinct query goes through the engine's Plan step,
 //      serially, against the warmed catalog (the catalog and selectivity
 //      memos are not thread-safe); with the stats resolved in phase 2 this

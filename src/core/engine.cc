@@ -205,12 +205,8 @@ QueryResponse Engine::ExecuteRequest(const QueryRequest& request) {
     ScopedStopProbe stop_probe(
         interrupt != nullptr ? &InterruptStopProbe : nullptr, interrupt);
     Plan(*query, &response);
-    ExecContext ctx(&response.stats,
-                    request.serial.value_or(false) ? nullptr : pool_.get(),
-                    /*shared_scans=*/nullptr, interrupt);
-    if (request.parallel_min_rows.has_value()) {
-      ctx.set_parallel_min_rows_override(*request.parallel_min_rows);
-    }
+    ExecContext ctx(&response.stats, pool_.get(), /*shared_scans=*/nullptr,
+                    interrupt);
     Run(*query, &request, &ctx, &response, &executed_plan);
   }
   Finish(interrupt, fault_epoch, &response);

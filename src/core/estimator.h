@@ -79,8 +79,8 @@ class ExpectedScoreEstimator {
                                               double eq_k);
 
   // The catalog's estimated match count m for one pattern (after any
-  // calibration correction) — the unit of the planner's per-plan read-cost
-  // estimates and of the adaptive executor's divergence checkpoints.
+  // calibration correction) — the unit of the adaptive executor's
+  // divergence checkpoints and of the calibration log.
   double PatternCardinality(const PatternKey& key);
 
   Model model() const { return model_; }

@@ -158,9 +158,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
         // (and counts) the same lists moments later.
         total_rows += postings_->GetUncounted(q.Key())->size();
       }
-      // Per-request override (QueryRequest::parallel_min_rows) wins over
-      // the engine-wide option.
-      if (total_rows >= ctx->parallel_min_rows_or(options_.parallel_min_rows)) {
+      if (total_rows >= options_.parallel_min_rows) {
         num_partitions = static_cast<uint32_t>(ctx->num_threads());
       }
     }

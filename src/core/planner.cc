@@ -120,40 +120,9 @@ QueryPlan Planner::Plan(const Query& query, size_t k,
       }
       diagnostics->has_runner_up = true;
       diagnostics->runner_up = std::move(runner_up);
-      diagnostics->primary_cost_estimate = PlanCost(query, plan);
-      diagnostics->runner_up_cost_estimate =
-          PlanCost(query, diagnostics->runner_up);
     }
   }
   return plan;
-}
-
-double Planner::PlanCost(const Query& query, const QueryPlan& plan) {
-  double cost = 0.0;
-  for (size_t i : plan.join_group) {
-    cost += estimator_->PatternCardinality(query.pattern(i).Key());
-  }
-  for (size_t i : plan.singletons) {
-    const TriplePattern& q = query.pattern(i);
-    cost += estimator_->PatternCardinality(q.Key());
-    for (const RelaxationRule& rule : rules_->RulesFor(q.Key())) {
-      auto relaxed = ApplyRule(q, rule);
-      if (relaxed.ok()) {
-        cost += estimator_->PatternCardinality(relaxed->Key());
-      }
-    }
-    for (const ChainRelaxationRule& rule : rules_->ChainRulesFor(q.Key())) {
-      // The fresh variable's id does not matter for costing: PatternKey
-      // erases variables, so any id yields the hops' match-set keys.
-      auto chain =
-          ApplyChainRule(q, rule, static_cast<VarId>(query.num_vars()));
-      if (chain.ok()) {
-        cost += estimator_->PatternCardinality(chain->hop1.Key());
-        cost += estimator_->PatternCardinality(chain->hop2.Key());
-      }
-    }
-  }
-  return cost;
 }
 
 }  // namespace specqp

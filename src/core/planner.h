@@ -30,19 +30,15 @@ class Planner {
 
   // `diagnostics` is optional. When provided it additionally carries the
   // per-decision confidence signal, the plan-level confidence (minimum over
-  // contested decisions), the runner-up plan (primary with the least
-  // confident decision flipped), and the estimated read cost of both
-  // candidates — the inputs of the speculative plan race
-  // (core/speculation.h) and of Engine::Explain.
+  // contested decisions) and the runner-up plan (primary with the least
+  // confident decision flipped) — the inputs of the speculative plan race
+  // (core/speculation.h) and of Engine::Explain. Planning reads the
+  // statistics of the query's patterns and of each pattern's top
+  // relaxation only, so a cold plan builds no other posting list.
   QueryPlan Plan(const Query& query, size_t k,
                  PlanDiagnostics* diagnostics = nullptr);
 
  private:
-  // Estimated read cost of `plan`: summed estimated cardinality over every
-  // posting list it touches (singletons add their relaxation and chain-hop
-  // lists). Memoised via the statistics catalog, so warm plans cost no I/O.
-  double PlanCost(const Query& query, const QueryPlan& plan);
-
   ExpectedScoreEstimator* estimator_;
   const RelaxationIndex* rules_;
 };

@@ -67,11 +67,6 @@ struct PlanDiagnostics {
   int least_confident_pattern = -1;  // -1 = no contested decision
   bool has_runner_up = false;
   QueryPlan runner_up;
-  // Estimated read cost of each candidate: summed estimated cardinality m
-  // over every posting list the plan touches (join-group scans, singleton
-  // scans plus their relaxation and chain-hop lists).
-  double primary_cost_estimate = 0.0;
-  double runner_up_cost_estimate = 0.0;
 };
 
 }  // namespace specqp

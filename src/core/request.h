@@ -62,12 +62,11 @@ class CancellationToken {
 };
 
 // One query-execution request: what to run (a pre-parsed Query, or text
-// parsed against the store dictionary at submit time), how (k, strategy,
-// per-request execution overrides), and under which service terms
-// (deadline, cancellation token, admission mode). This is the unified
-// input of Engine::Submit and Engine::Explain — the only per-query entry
-// points; pre-assembled batches of parsed queries go through
-// BatchExecutor.
+// parsed against the store dictionary at submit time), how (k and
+// strategy), and under which service terms (deadline, cancellation token,
+// admission mode). This is the unified input of Engine::Submit and
+// Engine::Explain — the only per-query entry points; pre-assembled
+// batches of parsed queries go through BatchExecutor.
 struct QueryRequest {
   // What to run: `query` wins when set; otherwise `text` is parsed at
   // submit time (a parse error becomes the response's terminal status).
@@ -85,17 +84,6 @@ struct QueryRequest {
   // instant may still report the terminal cancellation/deadline status.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   CancellationToken cancel;
-
-  // Per-request overrides of selected EngineOptions. `serial` forces a
-  // serial operator tree even on a multi-threaded engine;
-  // `parallel_min_rows` overrides the partitioned-tree threshold. Neither
-  // changes answers (bit-identical at any setting), only scheduling — and
-  // they only matter on the kImmediate path: windowed requests execute as
-  // batch tasks, which always run one serial tree per distinct query (the
-  // batch gets its parallelism across queries), so a windowed request is
-  // effectively `serial` already.
-  std::optional<bool> serial;
-  std::optional<size_t> parallel_min_rows;
 
   // Caller label, echoed verbatim in the response (request tracing).
   std::string tag;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <set>
 
@@ -452,13 +453,38 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
+    case v3::SectionId::kStats: {
+      // Shape was checked at Open. The values feed the planner's
+      // two-bucket histograms, whose constructors CHECK-fail on NaN knots
+      // and negative densities, so every row must describe a real
+      // PatternStats: a finite boundary score in [0, 1] and finite
+      // cumulative masses 0 <= s_r <= s_m.
+      if (!(stats_head_fraction_ > 0.0 && stats_head_fraction_ < 1.0)) {
+        return Corrupt("statistics head fraction outside (0, 1)");
+      }
+      for (const v3::StatsEntry& row : stats_entries_) {
+        if (row.reserved != 0) {
+          return Corrupt("statistics row reserved word not zero");
+        }
+        if (!std::isfinite(row.sigma_r) || !std::isfinite(row.s_r) ||
+            !std::isfinite(row.s_m)) {
+          return Corrupt("statistics row holds a non-finite value");
+        }
+        if (row.sigma_r < 0.0 || row.sigma_r > 1.0) {
+          return Corrupt("statistics boundary score outside [0, 1]");
+        }
+        if (row.s_r < 0.0 || row.s_r > row.s_m) {
+          return Corrupt("statistics masses not 0 <= s_r <= s_m");
+        }
+      }
+      return Status::Ok();
+    }
     default:
       // kDictBlob is free-form bytes; kPostingDir rows were validated
       // structurally at Open (their block runs are covered under
       // kPostingBlocks); kPostingBlockIndex geometry was pinned at Open
       // and its content agreement is covered by the kPostingBlocks decode
-      // pass; kStats values are advisory planner inputs validated for
-      // shape at Open.
+      // pass.
       return Status::Ok();
   }
 }

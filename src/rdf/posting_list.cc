@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "rdf/posting_partition.h"
 #include "rdf/store_format.h"
@@ -10,6 +11,28 @@
 #include "util/stop_probe.h"
 
 namespace specqp {
+
+namespace {
+
+// `list->entries` holds {triple_index, RAW score}: normalise by the largest
+// raw score (Definition 5) and sort by (score desc, triple index asc).
+void NormaliseAndSort(PostingList* list) {
+  double max_raw = 0.0;
+  for (const PostingEntry& e : list->entries) {
+    max_raw = std::max(max_raw, e.score);
+  }
+  list->max_raw_score = max_raw;
+  for (PostingEntry& e : list->entries) {
+    e.score = max_raw > 0.0 ? e.score / max_raw : 0.0;
+  }
+  std::sort(list->entries.begin(), list->entries.end(),
+            [](const PostingEntry& a, const PostingEntry& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.triple_index < b.triple_index;
+            });
+}
+
+}  // namespace
 
 const v3::BlockPostingDirEntry* MappedBlockPostings::Find(
     TermId predicate) const {
@@ -207,21 +230,10 @@ PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
   PostingList list;
   const auto indices = store.MatchIndices(key);
   list.entries.reserve(indices.size());
-  double max_raw = 0.0;
   for (uint32_t idx : indices) {
-    max_raw = std::max(max_raw, store.triple(idx).score);
+    list.entries.push_back(PostingEntry{idx, store.triple(idx).score});
   }
-  list.max_raw_score = max_raw;
-  for (uint32_t idx : indices) {
-    const double raw = store.triple(idx).score;
-    const double norm = max_raw > 0.0 ? raw / max_raw : 0.0;
-    list.entries.push_back(PostingEntry{idx, norm});
-  }
-  std::sort(list.entries.begin(), list.entries.end(),
-            [](const PostingEntry& a, const PostingEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.triple_index < b.triple_index;
-            });
+  NormaliseAndSort(&list);
   // On a file-backed store (a mapped view or a bundle facade), scan-built
   // bound lists are re-encoded into blocks as well: the cache then holds
   // the compact payload and decodes on demand, and header-guided skipping
@@ -236,10 +248,31 @@ PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
         EncodePostingBlocks(list.entries.data(), list.entries.size());
     const size_t count = list.entries.size();
     return PostingList::FromBlocks(std::move(encoded.headers),
-                                   std::move(encoded.payload), count, max_raw,
+                                   std::move(encoded.payload), count,
+                                   list.max_raw_score,
                                    static_cast<uint32_t>(store.size()));
   }
   return list;
+}
+
+std::vector<PostingList> DeriveObjectLists(const TripleStore& store,
+                                           const PostingList& base,
+                                           std::span<const TermId> objects) {
+  std::unordered_map<TermId, size_t> bucket_of;
+  bucket_of.reserve(objects.size());
+  for (size_t i = 0; i < objects.size(); ++i) bucket_of.emplace(objects[i], i);
+  // One pass over the base list, routing each entry (with its exact RAW
+  // triple score) to its object's bucket.
+  std::vector<PostingList> lists(objects.size());
+  for (BlockIterator iter(&base); !iter.AtEnd(); iter.Advance()) {
+    const PostingEntry& e = iter.Entry();
+    const Triple& t = store.triple(e.triple_index);
+    const auto it = bucket_of.find(t.o);
+    if (it == bucket_of.end()) continue;
+    lists[it->second].entries.push_back(PostingEntry{e.triple_index, t.score});
+  }
+  for (PostingList& list : lists) NormaliseAndSort(&list);
+  return lists;
 }
 
 size_t PostingListCache::ApproxBytes(const PostingList& list) {
@@ -382,28 +415,40 @@ void PostingListCache::EvictIfOver(Shard& shard, const PatternKey& keep,
   }
 }
 
+std::shared_ptr<const PostingList> PostingListCache::FindLocked(
+    Shard& shard, const PatternKey& key) {
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return nullptr;
+  it->second.last_used = ++shard.clock;
+  if (cost_aware_) {
+    it->second.priority =
+        shard.inflation + RebuildCost(it->second.list->size());
+  }
+  return it->second.list;
+}
+
 std::shared_ptr<const PostingList> PostingListCache::GetLocked(
     Shard& shard, const PatternKey& key, bool count_stats) {
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  if (auto resident = FindLocked(shard, key)) {
     if (count_stats) ++shard.hits;
-    it->second.last_used = ++shard.clock;
-    if (cost_aware_) {
-      it->second.priority =
-          shard.inflation + RebuildCost(it->second.list->size());
-    }
-    return it->second.list;
+    return resident;
   }
   if (count_stats) ++shard.misses;
   // Built under the shard lock: a concurrent request for the same key
   // waits and then hits; requests for other shards are unaffected.
-  auto list = std::make_shared<const PostingList>(
-      BuildPostingList(*store_, key));
-  // Two reasons a freshly built list must NOT enter the cache:
+  return InsertLocked(shard, key, std::make_shared<const PostingList>(
+                                      BuildPostingList(*store_, key)));
+}
+
+std::shared_ptr<const PostingList> PostingListCache::InsertLocked(
+    Shard& shard, const PatternKey& key,
+    std::shared_ptr<const PostingList> list) {
+  // Two reasons a fresh list must NOT enter the cache:
   //  - the query driving this build was stopped (cancel / deadline /
   //    fault): a sharded Match returns early with a truncated index set,
-  //    so the list may be incomplete — caching it would poison later
-  //    queries long after the cancellation;
+  //    so the list (or a base list it was derived from) may be incomplete
+  //    — caching it would poison later queries long after the
+  //    cancellation;
   //  - an injected "cache.alloc" fault simulates allocation pressure on
   //    the insert path (the list is still served to this caller).
   if (ScopedStopProbe::StopRequested() || FaultShouldFail("cache.alloc")) {
@@ -445,21 +490,89 @@ std::shared_ptr<const PostingList> PostingListCache::Peek(
   return it == shard.map.end() ? nullptr : it->second.list;
 }
 
-std::shared_ptr<const PostingList> PostingListCache::Put(
-    const PatternKey& key, std::shared_ptr<const PostingList> list) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it != shard.map.end()) return it->second.list;
-  Entry entry;
-  entry.list = list;
-  entry.bytes = ApproxBytes(*list);
-  entry.last_used = ++shard.clock;
-  if (cost_aware_) entry.priority = shard.inflation + RebuildCost(list->size());
-  shard.bytes += entry.bytes;
-  shard.map.emplace(key, std::move(entry));
-  EvictIfOver(shard, key);
-  return list;
+void PostingListCache::Resolve(std::span<const PatternKey> keys, Pins* pins,
+                               ResolveCounts* counts) {
+  // Pin the residents first; sort what is missing into object-bound
+  // sibling groups (by predicate) and everything else.
+  std::map<TermId, std::vector<PatternKey>> siblings;
+  std::vector<PatternKey> build;
+  for (const PatternKey& key : keys) {
+    const auto [pin, fresh] = pins->try_emplace(key);
+    if (!fresh) continue;  // repeated, or pinned by an earlier call
+    Shard& shard = ShardFor(key);
+    MutexLock lock(shard.mu);
+    pin->second = FindLocked(shard, key);
+    if (pin->second != nullptr) {
+      ++shard.hits;
+      EvictIfOver(shard, key);  // as a Get hit does
+    } else if (!key.s_bound() && key.p_bound() && key.o_bound()) {
+      siblings[key.p].push_back(key);
+    } else {
+      build.push_back(key);
+    }
+  }
+  for (const auto& [p, group] : siblings) {
+    if (DeriveIsCheaper(p, group)) {
+      DeriveSiblings(p, group, pins, counts);
+    } else {
+      for (const PatternKey& key : group) (*pins)[key] = Get(key);
+    }
+  }
+  for (const PatternKey& key : build) (*pins)[key] = Get(key);
+}
+
+bool PostingListCache::DeriveIsCheaper(TermId p,
+                                       std::span<const PatternKey> siblings) {
+  if (siblings.size() < 2) return false;
+  // The base list is free when it is resident or the store maps a
+  // zero-copy per-predicate directory for it; otherwise its own build is
+  // charged to the derivation side.
+  const PatternKey base_key{kInvalidTermId, p, kInvalidTermId};
+  const size_t base_count = store_->CountMatches(base_key);
+  const MappedBlockPostings* mapped = store_->mapped_block_postings();
+  bool base_free = mapped != nullptr && mapped->Find(p) != nullptr;
+  if (!base_free) {
+    Shard& shard = ShardFor(base_key);
+    MutexLock lock(shard.mu);
+    base_free = shard.map.contains(base_key);
+  }
+  double build_cost = 0.0;
+  double derive_cost = static_cast<double>(base_count);
+  for (const PatternKey& key : siblings) {
+    const size_t n = store_->CountMatches(key);
+    build_cost += RebuildCost(n);
+    derive_cost += static_cast<double>(n);
+  }
+  if (!base_free) derive_cost += RebuildCost(base_count);
+  return derive_cost < build_cost;
+}
+
+void PostingListCache::DeriveSiblings(TermId p,
+                                      std::span<const PatternKey> siblings,
+                                      Pins* pins, ResolveCounts* counts) {
+  const auto base = Get(PatternKey{kInvalidTermId, p, kInvalidTermId});
+  std::vector<TermId> objects;
+  objects.reserve(siblings.size());
+  for (const PatternKey& key : siblings) objects.push_back(key.o);
+  std::vector<PostingList> derived = DeriveObjectLists(*store_, *base, objects);
+  for (size_t i = 0; i < siblings.size(); ++i) {
+    const PatternKey& key = siblings[i];
+    Shard& shard = ShardFor(key);
+    MutexLock lock(shard.mu);
+    // A concurrent Get may have built the key since Resolve looked; the
+    // resident then wins, so every holder pins one object.
+    auto list = FindLocked(shard, key);
+    if (list == nullptr) {
+      list = InsertLocked(shard, key, std::make_shared<const PostingList>(
+                                          std::move(derived[i])));
+    }
+    EvictIfOver(shard, key);
+    (*pins)[key] = std::move(list);
+  }
+  if (counts != nullptr) {
+    counts->derived_lists += siblings.size();
+    ++counts->base_scans;
+  }
 }
 
 std::vector<std::shared_ptr<const PostingList>>

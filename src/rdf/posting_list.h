@@ -181,7 +181,22 @@ class BlockIterator {
 [[nodiscard]] PostingList BuildPostingList(const TripleStore& store,
                                            const PatternKey& key);
 
-// Materialised posting lists keyed by PatternKey, built on first use.
+// Derives the posting lists of (?s <p> <o>) for every o of `objects`
+// (distinct) from p's base list (?s <p> ?o) in one pass. Element i holds
+// the entries BuildPostingList(store, {?, p, objects[i]}) would: the same
+// entry set (the base list covers every p-triple), the same normalisation
+// (scores recomputed from the store's raw triple scores, not rescaled
+// from the base list's normalised ones) and the same (score desc, triple
+// index asc) order. The results are always flat, also where
+// BuildPostingList would re-encode the same entries into blocks.
+[[nodiscard]] std::vector<PostingList> DeriveObjectLists(
+    const TripleStore& store, const PostingList& base,
+    std::span<const TermId> objects);
+
+// Materialised posting lists keyed by PatternKey, built on first use. The
+// cache is the one place that builds lists and inserts them: Get builds
+// one key, Resolve pins a whole set of keys and derives object-bound
+// siblings from a shared pass over their predicate's base list.
 //
 // This models the paper's setup of a database engine that returns matches
 // "in sorted order" with warm caches (section 4.4: 5 runs, average of the
@@ -246,16 +261,32 @@ class PostingListCache {
       const PatternKey& key);
 
   // The key's list if resident, nullptr otherwise — never builds and never
-  // touches the counters or the LRU clock. Used by the shared-scan layer
-  // to decide whether a base list is free to reuse.
+  // touches the counters or the LRU clock. A residency probe for tests.
   [[nodiscard]] std::shared_ptr<const PostingList> Peek(const PatternKey& key);
 
-  // Inserts an externally built list (e.g. one derived by a shared scan)
-  // if the key is not already resident, so later Gets hit instead of
-  // rebuilding. Returns the resident list (the existing one on conflict).
-  // Counts neither a hit nor a miss.
-  std::shared_ptr<const PostingList> Put(
-      const PatternKey& key, std::shared_ptr<const PostingList> list);
+  // Lists held by a caller (a batch) so they stay resident while it runs.
+  using Pins = std::unordered_map<PatternKey,
+                                  std::shared_ptr<const PostingList>,
+                                  PatternKeyHash>;
+  // What Resolve derived.
+  struct ResolveCounts {
+    uint64_t derived_lists = 0;  // lists derived from a base-list pass
+    uint64_t base_scans = 0;     // base lists passed over to derive them
+  };
+
+  // Adds every key of `keys` that `pins` lacks to `pins`, with its list:
+  //   * a resident list is pinned as it is (a hit); residents are pinned
+  //     before anything is built, so this call cannot evict them;
+  //   * non-resident object-bound siblings (?s <p> <o_i>) of one predicate
+  //     are derived from one pass over p's base list (DeriveObjectLists)
+  //     when that undercuts per-key builds, and count as neither a hit nor
+  //     a miss (the base list itself is fetched as Get fetches it);
+  //   * every other key is built the way Get builds it (a miss).
+  // Derived lists enter the cache through Get's insert step. `counts`
+  // (optional) accumulates what was derived. Builds run sibling groups
+  // first (by predicate), then the remaining keys in the order given.
+  void Resolve(std::span<const PatternKey> keys, Pins* pins,
+               ResolveCounts* counts = nullptr);
 
   // The key's posting list split into `num_partitions` hash partitions on
   // triple slot `slot` (see rdf/posting_partition.h), memoised so repeated
@@ -281,7 +312,8 @@ class PostingListCache {
   static size_t ApproxBytes(const PostingList& list);
 
   // Rebuild-cost estimate (comparison sort over n entries) used by the
-  // cost-aware policy; exposed for tests.
+  // cost-aware policy and by Resolve's derive-or-build choice; exposed for
+  // tests.
   static double RebuildCost(size_t num_entries);
 
   static constexpr size_t kNumShards = 8;
@@ -319,6 +351,11 @@ class PostingListCache {
   };
 
   Shard& ShardFor(const PatternKey& key);
+  // The key's resident list (refreshing its LRU position), or null.
+  // Counts nothing.
+  std::shared_ptr<const PostingList> FindLocked(Shard& shard,
+                                                const PatternKey& key)
+      SPECQP_REQUIRES(shard.mu);
   // The key's list, building and inserting on miss.
   // `count_stats` is false for internal lookups (e.g. the base list behind
   // a partition request) so one logical Get counts one hit or miss.
@@ -326,6 +363,20 @@ class PostingListCache {
                                                const PatternKey& key,
                                                bool count_stats)
       SPECQP_REQUIRES(shard.mu);
+  // The one insert step for built and derived lists: makes `list` the
+  // key's resident, unless the request that produced it was stopped or an
+  // injected "cache.alloc" fault fires. Returns `list` either way — the
+  // caller is served it, resident or not. The caller evicts afterwards.
+  std::shared_ptr<const PostingList> InsertLocked(
+      Shard& shard, const PatternKey& key,
+      std::shared_ptr<const PostingList> list) SPECQP_REQUIRES(shard.mu);
+  // True when one pass over p's base list plus the derivations undercuts
+  // building each of `siblings` — distinct (?s <p> <o>) keys — on its own.
+  bool DeriveIsCheaper(TermId p, std::span<const PatternKey> siblings);
+  // Derives `siblings` from one pass over p's base list, inserts each
+  // derived list and pins it in `pins`.
+  void DeriveSiblings(TermId p, std::span<const PatternKey> siblings,
+                      Pins* pins, ResolveCounts* counts);
   // Brings the shard's byte accounting for blocked lists up to date
   // (decoded-block memos grow outside the lock while operators iterate).
   void SyncBlockBytes(Shard& shard) SPECQP_REQUIRES(shard.mu);

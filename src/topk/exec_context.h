@@ -202,17 +202,6 @@ class ExecContext {
   size_t num_threads() const;
   bool parallel() const { return num_threads() > 1; }
 
-  // Per-request override of EngineOptions::parallel_min_rows (the
-  // partitioned-tree threshold); unset = use the engine's option.
-  void set_parallel_min_rows_override(size_t min_rows) {
-    has_parallel_min_rows_override_ = true;
-    parallel_min_rows_override_ = min_rows;
-  }
-  size_t parallel_min_rows_or(size_t fallback) const {
-    return has_parallel_min_rows_override_ ? parallel_min_rows_override_
-                                           : fallback;
-  }
-
   // Child context for one partition of a parallel execution (stable
   // address, owned by this context). Thread-safe, though partitions are
   // normally created single-threaded at build time.
@@ -244,8 +233,6 @@ class ExecContext {
   uint32_t checkpoint_every_ = 1;
   uint32_t checkpoint_poll_ = 0;
   bool checkpoint_fired_ = false;
-  bool has_parallel_min_rows_override_ = false;
-  size_t parallel_min_rows_override_ = 0;
   // Guards the partition arena only; everything above is either atomic
   // (via ExecInterrupt) or single-threaded by the execution contract.
   Mutex mu_;

@@ -1,10 +1,15 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "datasets/twitter_generator.h"
+#include "datasets/workload.h"
+#include "datasets/xkg_generator.h"
 #include "test_util.h"
 
 namespace specqp {
@@ -196,6 +201,85 @@ TEST(PlannerTest, LargerKRelaxesMoreOrEqual) {
     EXPECT_GE(plan.singletons.size(), prev) << "k=" << k;
     prev = plan.singletons.size();
   }
+}
+
+// The posting lists PLANGEN compares for `query`: each pattern's own, and
+// for a pattern with relaxations its top-weighted rule's target — or the
+// two hops of its top chain rule when that outweighs every simple rule.
+std::unordered_set<PatternKey, PatternKeyHash> ComparedKeys(
+    const Query& query, const RelaxationIndex& rules) {
+  std::unordered_set<PatternKey, PatternKeyHash> keys;
+  for (const TriplePattern& pattern : query.patterns()) {
+    const PatternKey key = pattern.Key();
+    keys.insert(key);
+    const RelaxationRule* top = rules.TopRule(key);
+    const ChainRelaxationRule* chain = rules.TopChainRule(key);
+    if (chain != nullptr && (top == nullptr || chain->weight > top->weight)) {
+      auto hops = ApplyChainRule(pattern, *chain,
+                                 static_cast<VarId>(query.num_vars()));
+      EXPECT_TRUE(hops.ok());
+      keys.insert(hops->hop1.Key());
+      keys.insert(hops->hop2.Key());
+    } else if (top != nullptr) {
+      auto relaxed = ApplyRule(pattern, *top);
+      EXPECT_TRUE(relaxed.ok());
+      keys.insert(relaxed->Key());
+    }
+  }
+  return keys;
+}
+
+// Cold Spec-QP Explain on a fresh engine per query: planning builds
+// exactly the lists PLANGEN compares, and no list merely to estimate what
+// a plan would read. Returns the total number of lists built.
+uint64_t ExpectColdExplainBuildsComparedLists(
+    const TripleStore& store, const RelaxationIndex& rules,
+    const std::vector<Query>& workload) {
+  uint64_t built = 0;
+  for (size_t qi = 0; qi < workload.size(); ++qi) {
+    const Query& query = workload[qi];
+    Engine engine(&store, &rules);
+    const QueryResponse explained =
+        engine.Explain(QueryRequest::FromQuery(query, 10));
+    EXPECT_TRUE(explained.ok()) << "q" << qi;
+    const auto expected = ComparedKeys(query, rules);
+    PostingListCache& postings = engine.postings();
+    EXPECT_EQ(postings.misses(), expected.size()) << "q" << qi;
+    EXPECT_EQ(postings.size(), expected.size()) << "q" << qi;
+    for (const PatternKey& key : expected) {
+      EXPECT_NE(postings.Peek(key), nullptr) << "q" << qi;
+    }
+    built += postings.misses();
+  }
+  return built;
+}
+
+TEST(PlannerTest, ColdExplainBuildsOnlyTheComparedLists) {
+  // The e2ebench data: default generators, the bench workload configs.
+  // Planning that also estimated the read cost of the primary and
+  // runner-up plans built 1,060 and 1,201 lists here.
+  const XkgDataset xkg = GenerateXkg(XkgConfig{});
+  XkgWorkloadConfig xkg_workload;
+  xkg_workload.seed = 71;
+  xkg_workload.queries_per_size = 22;
+  xkg_workload.min_relaxations = 10;
+  const std::vector<Query> xkg_queries = MakeXkgWorkload(xkg, xkg_workload);
+  ASSERT_EQ(xkg_queries.size(), 66u);
+  EXPECT_EQ(
+      ExpectColdExplainBuildsComparedLists(xkg.store, xkg.rules, xkg_queries),
+      232u);
+
+  const TwitterDataset twitter = GenerateTwitter(TwitterConfig{});
+  TwitterWorkloadConfig twitter_workload;
+  twitter_workload.seed = 73;
+  twitter_workload.queries_per_size = 25;
+  twitter_workload.min_relaxations = 5;
+  const std::vector<Query> twitter_queries =
+      MakeTwitterWorkload(twitter, twitter_workload);
+  ASSERT_EQ(twitter_queries.size(), 50u);
+  EXPECT_EQ(ExpectColdExplainBuildsComparedLists(twitter.store, twitter.rules,
+                                                 twitter_queries),
+            175u);
 }
 
 TEST(QueryPlanTest, TrinitPlanAllSingletons) {

@@ -137,40 +137,6 @@ TEST(SubmitTest, ParseErrorAndBadKTerminateImmediately) {
   }
 }
 
-TEST(SubmitTest, SerialAndParallelMinRowsOverridesKeepAnswers) {
-  MusicFixture fx = MakeMusicFixture();
-  EngineOptions options;
-  options.num_threads = 4;
-  options.parallel_min_rows = 1u << 30;  // engine-wide: never partition
-  Engine engine(&fx.store, &fx.rules, options);
-  const Query query = fx.TypeQuery({"singer", "lyricist", "guitarist"});
-  const QueryResponse expected = testing::Execute(engine, query, 5,
-                                                      Strategy::kSpecQp);
-  EXPECT_EQ(expected.stats.parallel_partitions, 0u);
-
-  // Override drops the threshold to 0: the tree partitions, answers stay
-  // bit-identical.
-  QueryRequest partitioned = QueryRequest::FromQuery(query, 5);
-  partitioned.admission = QueryRequest::Admission::kImmediate;
-  partitioned.parallel_min_rows = 0;
-  const QueryResponse partitioned_response =
-      engine.Submit(std::move(partitioned)).get();
-  ASSERT_TRUE(partitioned_response.ok());
-  EXPECT_GT(partitioned_response.stats.parallel_partitions, 0u);
-  ExpectSameRows(expected.rows, partitioned_response.rows,
-                 "parallel_min_rows=0");
-
-  // serial forces the single tree even with the low threshold.
-  QueryRequest serial = QueryRequest::FromQuery(query, 5);
-  serial.admission = QueryRequest::Admission::kImmediate;
-  serial.parallel_min_rows = 0;
-  serial.serial = true;
-  const QueryResponse serial_response = engine.Submit(std::move(serial)).get();
-  ASSERT_TRUE(serial_response.ok());
-  EXPECT_EQ(serial_response.stats.parallel_partitions, 0u);
-  ExpectSameRows(expected.rows, serial_response.rows, "serial override");
-}
-
 TEST(ExplainTest, MatchesPlanOnlyAndStaticPlans) {
   MusicFixture fx = MakeMusicFixture();
   Engine engine(&fx.store, &fx.rules);

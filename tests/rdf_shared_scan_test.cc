@@ -1,10 +1,13 @@
-// Tests for the batch-scoped SharedScanCache: derived object lists must be
+// Tests for the batch-scoped SharedScanCache and the derivation path of
+// PostingListCache::Resolve behind it: derived object lists must be
 // bit-identical to directly built ones (the batch-vs-sequential determinism
 // of BatchExecutor rests on this), the cost gate must only derive when a
-// shared pass undercuts per-key builds, and resolved lists must be pinned
-// for the batch and published to the underlying cache.
+// shared pass undercuts per-key builds, resident lists must be pinned
+// rather than derived again, and derived lists must enter the engine cache
+// through its one insert step.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "rdf/shared_scan_cache.h"
 #include "rdf/triple_store.h"
 #include "test_util.h"
+#include "util/fault_injector.h"
 #include "util/random.h"
 
 namespace specqp {
@@ -44,20 +48,29 @@ TEST(SharedScanDeriveTest, DerivedListsBitIdenticalToBuiltLists) {
     cfg.num_triples = 400;
     TripleStore store = MakeRandomStore(&rng, cfg);
 
+    std::vector<TermId> objects;
+    for (size_t o = 0; o < cfg.num_objects; ++o) {
+      objects.push_back(store.MustId("o" + std::to_string(o)));
+    }
     for (size_t p = 0; p < cfg.num_predicates; ++p) {
       const TermId pid = store.MustId("p" + std::to_string(p));
       const PostingList base =
           BuildPostingList(store, PatternKey{kInvalidTermId, pid,
                                              kInvalidTermId});
+      // All siblings from one pass, and one object on its own.
+      const std::vector<PostingList> derived =
+          DeriveObjectLists(store, base, objects);
+      ASSERT_EQ(derived.size(), objects.size());
+      const std::vector<PostingList> single =
+          DeriveObjectLists(store, base, std::span(objects).subspan(3, 1));
       for (size_t o = 0; o < cfg.num_objects; ++o) {
-        const TermId oid = store.MustId("o" + std::to_string(o));
-        const PatternKey key{kInvalidTermId, pid, oid};
+        const PatternKey key{kInvalidTermId, pid, objects[o]};
         const PostingList built = BuildPostingList(store, key);
-        const PostingList derived =
-            SharedScanCache::DeriveObjectList(store, base, oid);
-        ExpectSameList(built, derived,
-                       "seed=" + std::to_string(seed) + " p" +
-                           std::to_string(p) + " o" + std::to_string(o));
+        const std::string label = "seed=" + std::to_string(seed) + " p" +
+                                  std::to_string(p) + " o" +
+                                  std::to_string(o);
+        ExpectSameList(built, derived[o], label);
+        if (o == 3) ExpectSameList(built, single[0], label + " alone");
       }
     }
   }
@@ -68,7 +81,7 @@ TEST(SharedScanCacheTest, PrepareResolvesOnceAndGetHits) {
   RandomStoreConfig cfg;
   TripleStore store = MakeRandomStore(&rng, cfg);
   PostingListCache base(&store);
-  SharedScanCache shared(&store, &base);
+  SharedScanCache shared(&base);
 
   const TermId p0 = store.MustId("p0");
   std::vector<PatternKey> keys;
@@ -105,7 +118,7 @@ TEST(SharedScanCacheTest, UnpreparedKeyFallsThroughAndMemoises) {
   Rng rng(123);
   TripleStore store = MakeRandomStore(&rng, RandomStoreConfig());
   PostingListCache base(&store);
-  SharedScanCache shared(&store, &base);
+  SharedScanCache shared(&base);
 
   const PatternKey key{kInvalidTermId, store.MustId("p1"),
                        store.MustId("o2")};
@@ -119,10 +132,9 @@ TEST(SharedScanCacheTest, UnpreparedKeyFallsThroughAndMemoises) {
   EXPECT_EQ(shared.counters().hits, 1u);
 }
 
-TEST(SharedScanCacheTest, DerivesSiblingsWhenBaseIsResident) {
-  // Many sizeable object lists under one predicate, with the base list
-  // already resident: one shared pass must serve them all, and the derived
-  // lists must be published back into the base cache.
+// 16 object lists of 48 triples each under one predicate "p": sizeable
+// enough that one shared pass undercuts 16 per-key builds.
+TripleStore MakeSiblingStore() {
   TripleStore store;
   for (int o = 0; o < 16; ++o) {
     for (int t = 0; t < 48; ++t) {
@@ -131,17 +143,30 @@ TEST(SharedScanCacheTest, DerivesSiblingsWhenBaseIsResident) {
     }
   }
   store.Finalize();
+  return store;
+}
+
+std::vector<PatternKey> SiblingKeys(const TripleStore& store) {
   const TermId p = store.MustId("p");
-
-  PostingListCache base(&store);
-  (void)base.Get(PatternKey{kInvalidTermId, p, kInvalidTermId});  // warm the base
-
-  SharedScanCache shared(&store, &base);
   std::vector<PatternKey> keys;
   for (int o = 0; o < 16; ++o) {
     keys.push_back(PatternKey{kInvalidTermId, p,
                               store.MustId("o" + std::to_string(o))});
   }
+  return keys;
+}
+
+TEST(SharedScanCacheTest, DerivesSiblingsWhenBaseIsResident) {
+  // Many sizeable object lists under one predicate, with the base list
+  // already resident: one shared pass must serve them all, and the derived
+  // lists must enter the base cache.
+  const TripleStore store = MakeSiblingStore();
+  PostingListCache base(&store);
+  (void)base.Get(PatternKey{kInvalidTermId, store.MustId("p"),
+                            kInvalidTermId});  // warm the base
+
+  SharedScanCache shared(&base);
+  const std::vector<PatternKey> keys = SiblingKeys(store);
   shared.Prepare(keys);
 
   const auto counters = shared.counters();
@@ -150,7 +175,7 @@ TEST(SharedScanCacheTest, DerivesSiblingsWhenBaseIsResident) {
   EXPECT_EQ(counters.base_scans, 1u);
 
   for (const PatternKey& key : keys) {
-    // Published into the base cache for post-batch reuse...
+    // Resident in the base cache for post-batch reuse...
     EXPECT_NE(base.Peek(key), nullptr);
     // ...and bit-identical to a direct build.
     ExpectSameList(*shared.Get(key), BuildPostingList(store, key),
@@ -159,31 +184,16 @@ TEST(SharedScanCacheTest, DerivesSiblingsWhenBaseIsResident) {
 }
 
 TEST(SharedScanCacheTest, DerivedListsAliasTheBaseCacheResident) {
-  // Regression test: DeriveGroup used to memoise the list it built rather
-  // than the resident the base cache's Put returned. If Put coalesces onto
-  // an existing resident (or ever copies), the batch map and the base
-  // cache would pin two different objects for one key — double memory and
-  // a broken "same object for the whole batch" guarantee. The batch map
-  // must alias exactly what the base cache holds.
-  TripleStore store;
-  for (int o = 0; o < 16; ++o) {
-    for (int t = 0; t < 48; ++t) {
-      store.Add("s" + std::to_string(o) + "_" + std::to_string(t), "p",
-                "o" + std::to_string(o), 1.0 + t);
-    }
-  }
-  store.Finalize();
-  const TermId p = store.MustId("p");
-
+  // The batch map and the base cache must pin one object per key: two
+  // copies would double the memory and break the "same object for the
+  // whole batch" guarantee.
+  const TripleStore store = MakeSiblingStore();
   PostingListCache base(&store);
-  (void)base.Get(PatternKey{kInvalidTermId, p, kInvalidTermId});
+  (void)base.Get(
+      PatternKey{kInvalidTermId, store.MustId("p"), kInvalidTermId});
 
-  SharedScanCache shared(&store, &base);
-  std::vector<PatternKey> keys;
-  for (int o = 0; o < 16; ++o) {
-    keys.push_back(PatternKey{kInvalidTermId, p,
-                              store.MustId("o" + std::to_string(o))});
-  }
+  SharedScanCache shared(&base);
+  const std::vector<PatternKey> keys = SiblingKeys(store);
   shared.Prepare(keys);
   ASSERT_EQ(shared.counters().derived_lists, 16u);
 
@@ -191,6 +201,67 @@ TEST(SharedScanCacheTest, DerivedListsAliasTheBaseCacheResident) {
     EXPECT_EQ(shared.Get(key).get(), base.Peek(key).get())
         << "batch map and base cache pin different objects";
   }
+}
+
+TEST(SharedScanCacheTest, ResidentSiblingsArePinnedNotDerivedAgain) {
+  // A later batch over siblings the engine cache already holds (the warm
+  // batch of a serving loop) must pin the residents as they are: no base
+  // scan, no derivation, and the very objects the engine cache holds.
+  const TripleStore store = MakeSiblingStore();
+  PostingListCache base(&store);
+  (void)base.Get(
+      PatternKey{kInvalidTermId, store.MustId("p"), kInvalidTermId});
+  const std::vector<PatternKey> keys = SiblingKeys(store);
+  {
+    SharedScanCache first(&base);
+    first.Prepare(keys);
+    ASSERT_EQ(first.counters().derived_lists, 16u);
+  }
+  const uint64_t hits_before = base.hits();
+  const uint64_t misses_before = base.misses();
+
+  SharedScanCache second(&base);
+  second.Prepare(keys);
+  const auto counters = second.counters();
+  EXPECT_EQ(counters.resolved_lists, 16u);
+  EXPECT_EQ(counters.derived_lists, 0u);
+  EXPECT_EQ(counters.base_scans, 0u);
+  // Each resident counts one engine-cache hit; nothing is built.
+  EXPECT_EQ(base.hits(), hits_before + 16);
+  EXPECT_EQ(base.misses(), misses_before);
+  for (const PatternKey& key : keys) {
+    const auto resident = base.Peek(key);
+    ASSERT_NE(resident, nullptr);
+    EXPECT_EQ(second.Get(key).get(), resident.get());
+  }
+}
+
+TEST(SharedScanCacheTest, FailedInsertsStillServeDerivedLists) {
+  // Derived lists take the engine cache's one insert step, so an injected
+  // "cache.alloc" fault keeps them out of the cache — while the batch is
+  // still served the derived group, bit-identical to direct builds.
+  const TripleStore store = MakeSiblingStore();
+  PostingListCache base(&store);
+  (void)base.Get(
+      PatternKey{kInvalidTermId, store.MustId("p"), kInvalidTermId});
+  const std::vector<PatternKey> keys = SiblingKeys(store);
+
+  ASSERT_TRUE(FaultInjector::Global().Configure("cache.alloc=1").ok());
+  SharedScanCache shared(&base);
+  shared.Prepare(keys);
+  FaultInjector::Global().Disarm();
+
+  const auto counters = shared.counters();
+  EXPECT_EQ(counters.resolved_lists, 16u);
+  EXPECT_EQ(counters.derived_lists, 16u);
+  EXPECT_EQ(counters.base_scans, 1u);
+  EXPECT_EQ(base.size(), 1u) << "only the warmed base list is resident";
+  for (const PatternKey& key : keys) {
+    EXPECT_EQ(base.Peek(key), nullptr);
+    ExpectSameList(*shared.Get(key), BuildPostingList(store, key),
+                   "derived under cache.alloc");
+  }
+  EXPECT_EQ(shared.counters().misses, 0u);
 }
 
 TEST(SharedScanCacheTest, CostGateSkipsDerivationForFewSmallKeys) {
@@ -208,7 +279,7 @@ TEST(SharedScanCacheTest, CostGateSkipsDerivationForFewSmallKeys) {
   const TermId p = store.MustId("p");
 
   PostingListCache base(&store);
-  SharedScanCache shared(&store, &base);
+  SharedScanCache shared(&base);
   const std::vector<PatternKey> keys = {
       PatternKey{kInvalidTermId, p, store.MustId("rare0")},
       PatternKey{kInvalidTermId, p, store.MustId("rare1")},
@@ -231,7 +302,7 @@ TEST(SharedScanCacheTest, PinsResolvedListsAgainstEviction) {
   const TermId p = store.MustId("p");
 
   PostingListCache base(&store, /*budget_bytes=*/1);
-  SharedScanCache shared(&store, &base);
+  SharedScanCache shared(&base);
   std::vector<PatternKey> keys;
   for (int o = 0; o < 32; ++o) {
     keys.push_back(PatternKey{kInvalidTermId, p,

@@ -1,12 +1,15 @@
 #include "rdf/store_io.h"
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "rdf/mmap_store.h"
 #include "rdf/posting_list.h"
 #include "stats/catalog.h"
@@ -605,6 +608,82 @@ TEST(StoreIoTest, StoreRejectsReservedBitsAndUnknownSections) {
     auto mapped = MmapStore::Open(bad_path);
     EXPECT_FALSE(mapped.ok()) << "section id " << id;
     EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(StoreIoTest, StoreRejectsNonFiniteStatsValues) {
+  // A statistics snapshot whose values would CHECK-fail the planner's
+  // histograms (NaN knots, negative densities) must be rejected as
+  // Corruption when the section is verified — which Engine::OpenFromPath
+  // does eagerly — instead of aborting at the first Spec-QP query.
+  specqp::testing::MusicFixture fx = specqp::testing::MakeMusicFixture();
+  Engine engine(&fx.store, &fx.rules);
+  const QueryResponse planned = engine.Explain(
+      QueryRequest::FromQuery(fx.TypeQuery({"singer", "lyricist"}), 10));
+  ASSERT_TRUE(planned.ok());
+  SaveStoreOptions options;
+  options.stats = engine.catalog().Snapshot();
+  options.stats_head_fraction = engine.catalog().head_fraction();
+  ASSERT_FALSE(options.stats.empty());
+  const std::string path = TempPath("stats_values.sqp");
+  ASSERT_TRUE(SaveStore(fx.store, path, options).ok());
+  const std::string blob = ReadFile(path);
+  {
+    auto opened = Engine::OpenFromPath(path, &fx.rules);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  }
+
+  const size_t entry = FindTableEntry(blob, v3::SectionId::kStats);
+  ASSERT_NE(entry, std::string::npos);
+  uint64_t section = 0;
+  std::memcpy(&section, blob.data() + entry + 8, 8);
+  const size_t row0 = section + 16;  // past head_fraction and count
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    size_t offset;  // into the section payload's first bytes or row 0
+    double value;
+  } cases[] = {
+      {"NaN head_fraction", section, nan},
+      {"head_fraction 1", section, 1.0},
+      {"head_fraction 0", section, 0.0},
+      {"NaN sigma_r", row0 + offsetof(v3::StatsEntry, sigma_r), nan},
+      {"NaN s_r", row0 + offsetof(v3::StatsEntry, s_r), nan},
+      {"NaN s_m", row0 + offsetof(v3::StatsEntry, s_m), nan},
+      {"infinite s_m", row0 + offsetof(v3::StatsEntry, s_m), inf},
+      {"sigma_r above 1", row0 + offsetof(v3::StatsEntry, sigma_r), 1.5},
+      {"negative sigma_r", row0 + offsetof(v3::StatsEntry, sigma_r), -0.25},
+      {"negative s_r", row0 + offsetof(v3::StatsEntry, s_r), -1.0},
+      {"s_r above s_m", row0 + offsetof(v3::StatsEntry, s_r), 1e9},
+  };
+  const auto expect_rejected = [&](const std::string& bad,
+                                   const std::string& what) {
+    const std::string bad_path = TempPath("stats_values_bad.sqp");
+    WriteFile(bad_path, bad);
+    // The structural open cannot see values; the section verdict can.
+    auto mapped = MmapStore::Open(bad_path);
+    ASSERT_TRUE(mapped.ok()) << what;
+    const Status verified =
+        mapped.value()->VerifySection(v3::SectionId::kStats);
+    EXPECT_EQ(verified.code(), StatusCode::kCorruption) << what;
+    auto opened = Engine::OpenFromPath(bad_path, &fx.rules);
+    EXPECT_FALSE(opened.ok()) << what;
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption) << what;
+  };
+  for (const auto& c : cases) {
+    std::string bad = blob;
+    std::memcpy(bad.data() + c.offset, &c.value, 8);
+    RepairSectionCrc(&bad, v3::SectionId::kStats);
+    expect_rejected(bad, c.what);
+  }
+  {
+    std::string bad = blob;
+    const uint32_t reserved = 1;
+    std::memcpy(bad.data() + row0 + offsetof(v3::StatsEntry, reserved),
+                &reserved, 4);
+    RepairSectionCrc(&bad, v3::SectionId::kStats);
+    expect_rejected(bad, "nonzero reserved word");
   }
 }
 
