@@ -90,8 +90,7 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
   // than stalling in a window that may not close for a long max_delay.
   auto interrupt = std::make_unique<ExecInterrupt>();
   if (!ArmInterrupt(request, interrupt.get())) interrupt.reset();
-  if (interrupt != nullptr &&
-      (interrupt->Stopped() || interrupt->CheckDeadline())) {
+  if (Expired(interrupt.get())) {
     response.status = StopStatus(interrupt->cause());
     return reject(std::move(response));
   }
@@ -233,90 +232,42 @@ void AdmissionController::DispatcherLoop() {
 }
 
 void AdmissionController::DispatchWindow(WindowKey key, Window window) {
-  const size_t k = key.first;
-  const Strategy strategy = static_cast<Strategy>(key.second);
-
-  // Serving preflight, once for the whole window (every request shares
-  // the store snapshot): fault sweep, strict/degraded decision, stale
-  // cache reconciliation. A refusal (kUnavailable) terminates every
-  // request in the window without executing — individual cancellations
-  // still win below.
-  QueryResponse serving;
-  uint64_t fault_epoch = 0;
-  const Status serving_status =
-      engine_->PreflightServing(&serving, &fault_epoch);
-
-  // Requests already stopped at dispatch time (cancelled while queued,
-  // deadline expired in the window) terminate without executing; the rest
-  // run as one batch through the shared-scan machinery.
-  std::vector<size_t> live;  // indices into window.pending
   std::vector<Query> queries;
   std::vector<const ExecInterrupt*> interrupts;
-  live.reserve(window.pending.size());
-  queries.reserve(window.pending.size());
-  interrupts.reserve(window.pending.size());
-  for (size_t i = 0; i < window.pending.size(); ++i) {
-    Pending& pending = window.pending[i];
+  for (Pending& pending : window.pending) {
     // Queueing delay ends here, before any execution happens.
     pending.admission_ms = pending.queued.ElapsedMillis();
-    if (pending.interrupt != nullptr &&
-        (pending.interrupt->Stopped() || pending.interrupt->CheckDeadline())) {
-      continue;  // fulfilled below by Finish
-    }
-    if (!serving_status.ok()) {
-      continue;  // fulfilled below with the serving refusal
-    }
-    live.push_back(i);
     queries.push_back(std::move(pending.query));
     interrupts.push_back(pending.interrupt.get());
   }
-
-  std::vector<QueryResponse> responses;
   BatchStats batch_stats;
-  if (!queries.empty()) {
-    BatchExecutor batch(engine_);
-    responses = batch.Execute(queries, k, strategy, &batch_stats, interrupts);
-  }
+  std::vector<QueryResponse> responses =
+      engine_->ServeWindow(key.first, static_cast<Strategy>(key.second),
+                           queries, interrupts, &batch_stats);
 
   {
     MutexLock lock(mu_);
-    stats_.batched_queries += queries.size();
+    stats_.batched_queries += batch_stats.batch_size;
     stats_.shared_scan_hits += batch_stats.shared_scan_hits;
     // Every pending request in this window is fulfilled below; release
     // their queue slots so shedding sees the post-dispatch depth.
     SPECQP_DCHECK(queued_ >= window.pending.size());
     queued_ -= std::min(queued_, window.pending.size());
-  }
-
-  size_t next_live = 0;
-  for (size_t i = 0; i < window.pending.size(); ++i) {
-    Pending& pending = window.pending[i];
-    QueryResponse response;
-    if (next_live < live.size() && live[next_live] == i) {
-      response = std::move(responses[next_live++]);
-    } else {
-      response.status = serving_status;  // unless stopped (Finish below)
-    }
-    // The window's degraded-read ledger rides on every response; Finish
-    // drops aborted answers and invalidates one a mid-window fault may
-    // have mixed (kIoError).
-    response.partial = serving.partial;
-    response.stats.shards_failed = serving.stats.shards_failed;
-    response.stats.shards_total = serving.stats.shards_total;
-    engine_->Finish(pending.interrupt.get(), fault_epoch, &response);
-    response.tag = std::move(pending.request.tag);
-    response.strategy = strategy;
-    response.k = k;
-    response.window_size = window.pending.size();
-    response.admission_ms = pending.admission_ms;
-    {
-      MutexLock lock(mu_);
+    for (const QueryResponse& response : responses) {
       if (response.status.code() == StatusCode::kCancelled) {
         ++stats_.cancelled;
       } else if (response.status.code() == StatusCode::kDeadlineExceeded) {
         ++stats_.deadline_exceeded;
       }
     }
+  }
+
+  for (size_t i = 0; i < window.pending.size(); ++i) {
+    Pending& pending = window.pending[i];
+    QueryResponse& response = responses[i];
+    response.tag = std::move(pending.request.tag);
+    response.window_size = window.pending.size();
+    response.admission_ms = pending.admission_ms;
     pending.promise.set_value(std::move(response));
   }
 }

@@ -20,14 +20,16 @@ namespace specqp {
 
 class Engine;
 
-// Streaming batch admission: turns an online stream of Engine::Submit
-// calls into the batch windows the BatchExecutor amortises.
+// Streaming batch admission: turns an online stream of windowed
+// Engine::Submit calls into the batch windows the BatchExecutor amortises.
+// (kImmediate requests never reach it: Submit serves them as windows of
+// one on the calling thread.)
 //
 // Submissions accumulate in per-(k, strategy) windows (those are the batch
 // dimensions BatchExecutor shares across a whole batch). A window closes —
-// and is dispatched through the BatchExecutor, so its
-// queries get the shared-scan / duplicate-collapsing / one-snapshot
-// amortisation of batch execution — when it reaches
+// and is served through the engine's window step (Engine::ServeWindow),
+// so its queries get the shared-scan / duplicate-collapsing /
+// one-snapshot amortisation of batch execution — when it reaches
 // EngineOptions::admission_max_batch queries or when its oldest submission
 // has waited admission_max_delay_ms, whichever happens first. Flush()
 // closes every open window immediately (shutdown, tests, end of a burst).
@@ -36,13 +38,10 @@ class Engine;
 // Threading: Submit() never blocks on query execution — it runs the
 // engine's Resolve step (k >= 1, parse) and the submit-time checks
 // (already-cancelled token, already-expired deadline, overload sheds),
-// enqueues, and returns a future. One background dispatcher thread owns
-// window close and batch execution, so all *planning* stays
-// single-threaded no matter how many threads submit concurrently (the
-// engine's planner memos are not locked); cross-query execution
-// parallelism inside a window still comes from the engine's thread pool.
-// The destructor flushes and drains every pending request before
-// returning — no future is ever abandoned.
+// enqueues, and returns a future. One background dispatcher thread closes
+// windows and serves them one at a time; parallelism inside a window comes
+// from the engine's thread pool. The destructor flushes and drains every
+// pending request before returning — no future is ever abandoned.
 //
 // Cancellation and deadlines ride along: each request with a token or
 // deadline gets an ExecInterrupt that the window's operator trees poll
@@ -133,8 +132,8 @@ class AdmissionController {
   bool QueueFullLocked() const SPECQP_REQUIRES(mu_);
 
   void DispatcherLoop();
-  // Executes one closed window and fulfills its promises. Runs on the
-  // dispatcher thread only.
+  // Serves one closed window through Engine::ServeWindow and fulfills its
+  // promises. Runs on the dispatcher thread only.
   void DispatchWindow(WindowKey key, Window window);
 
   Engine* engine_;

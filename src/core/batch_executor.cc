@@ -60,6 +60,7 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   bs.batch_size = queries.size();
 
   std::vector<QueryResponse> responses(queries.size());
+  executed_plans_.assign(queries.size(), QueryPlan());
   if (queries.empty()) return responses;
 
   // --- phase 1: collapse structurally identical queries -------------------
@@ -75,10 +76,35 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   }
   bs.distinct_queries = rep_slot.size();
 
+  // A shared execution polls an interrupt only when every rider of its
+  // duplicate group handed in that same signal (all-null groups and legacy
+  // batches run uninterruptible, as before). Prepare and Plan serve every
+  // slot, so they poll one only when all slots share it (a window of one,
+  // say); tasks install their own.
+  std::vector<const ExecInterrupt*> group_interrupt(rep_slot.size(), nullptr);
+  const ExecInterrupt* batch_interrupt =
+      interrupts.empty() ? nullptr : interrupts[0];
+  if (!interrupts.empty()) {
+    std::vector<bool> group_seen(rep_slot.size(), false);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const size_t g = distinct_of[i];
+      if (interrupts[i] != batch_interrupt) batch_interrupt = nullptr;
+      if (!group_seen[g]) {
+        group_seen[g] = true;
+        group_interrupt[g] = interrupts[i];
+      } else if (group_interrupt[g] != interrupts[i]) {
+        group_interrupt[g] = nullptr;  // mixed riders: run to completion
+      }
+    }
+  }
+  ScopedStopProbe stop_probe = InstallStopProbe(batch_interrupt);
+
   // --- phase 2: mine expansions + shared-scan plan + stats snapshot -------
   WallTimer prepare_timer;
   RelaxationExpansionCache expansions(&engine_->rules());
-  SharedScanCache shared(&engine_->postings());
+  // A lone query builds its lists as a stand-alone execution does (no
+  // shared base-list pass), so its block counters match one's.
+  SharedScanCache shared(&engine_->postings(), rep_slot.size() > 1);
 
   // The planning wave: every original pattern key, plus — per strategy —
   // the relaxation keys planning or execution is guaranteed to read.
@@ -151,42 +177,29 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   }
   bs.patterns_expanded = expansions.size();
 
-  // --- phase 5: execute distinct queries concurrently ---------------------
-  // A shared execution polls an interrupt only when every rider of its
-  // duplicate group handed in that same signal (all-null groups and legacy
-  // batches run uninterruptible, as before).
-  std::vector<const ExecInterrupt*> group_interrupt(rep_slot.size(), nullptr);
-  if (!interrupts.empty()) {
-    std::vector<bool> group_seen(rep_slot.size(), false);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const size_t g = distinct_of[i];
-      if (!group_seen[g]) {
-        group_seen[g] = true;
-        group_interrupt[g] = interrupts[i];
-      } else if (group_interrupt[g] != interrupts[i]) {
-        group_interrupt[g] = nullptr;  // mixed riders: run to completion
-      }
-    }
-  }
+  // --- phase 5: execute distinct queries ----------------------------------
+  // One distinct query runs alone on the calling thread with the pool (a
+  // partitioned tree or a race); several run concurrently as pool tasks,
+  // each a serial tree (serial trees equal partitioned trees row-for-row).
+  ThreadPool* pool = engine_->pool();
+  ThreadPool* task_pool = rep_slot.size() == 1 ? pool : nullptr;
   WallTimer exec_phase_timer;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(rep_slot.size());
   for (size_t g = 0; g < rep_slot.size(); ++g) {
     const size_t slot = rep_slot[g];
     const ExecInterrupt* interrupt = group_interrupt[g];
-    tasks.push_back([this, &queries, &responses, &shared, slot, interrupt] {
-      if (interrupt != nullptr && interrupt->Stopped()) {
+    tasks.push_back([this, &queries, &responses, &shared, slot, interrupt,
+                     task_pool] {
+      if (Expired(interrupt)) {
         return;  // stopped before execution started; owner sets the status
       }
-      // Serial tree per query (no pool in the context): cross-query
-      // parallelism comes from running the tasks concurrently, and serial
-      // trees equal partitioned trees row-for-row anyway.
+      ScopedStopProbe task_probe = InstallStopProbe(interrupt);
       QueryResponse& response = responses[slot];
-      ExecContext ctx(&response.stats, /*pool=*/nullptr, &shared, interrupt);
-      engine_->Run(queries[slot], /*request=*/nullptr, &ctx, &response);
+      ExecContext ctx(&response.stats, task_pool, &shared, interrupt);
+      engine_->Run(queries[slot], &ctx, &response, &executed_plans_[slot]);
     });
   }
-  ThreadPool* pool = engine_->pool();
   if (pool != nullptr && tasks.size() > 1) {
     pool->RunAndWait(&tasks);
   } else {
@@ -201,7 +214,10 @@ std::vector<QueryResponse> BatchExecutor::Execute(
   // how many executions actually ran).
   for (size_t i = 0; i < queries.size(); ++i) {
     const size_t rep = rep_slot[distinct_of[i]];
-    if (rep != i) responses[i] = responses[rep];
+    if (rep != i) {
+      responses[i] = responses[rep];
+      executed_plans_[i] = executed_plans_[rep];
+    }
   }
 
   const SharedScanCache::Counters counters = shared.counters();

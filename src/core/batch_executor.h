@@ -46,9 +46,9 @@ struct BatchStats {
 // are resolved once per distinct pattern for the entire batch (shared-scan
 // plan, batch-scoped pinning), structurally identical queries execute
 // once, and the distinct queries run as independent tasks on the engine's
-// thread pool. This is the dispatch path every admission window takes;
-// callers with a pre-assembled batch use it directly. Stateless between
-// calls — every batch builds its own SharedScanCache and
+// thread pool. Every Submit goes through it (Engine::ServeWindow; a
+// kImmediate request is a window of one); callers with a pre-assembled
+// batch use it directly. Every batch builds its own SharedScanCache and
 // RelaxationExpansionCache, scoped (and pinned) to that batch.
 //
 // Phases:
@@ -59,25 +59,24 @@ struct BatchStats {
 //      SharedScanCache (resident lists as they are; missing object-bound
 //      siblings of one predicate derived from a single shared scan), and
 //      warm the statistics catalog once per distinct pattern (kSpecQp).
-//   3. Plan: each distinct query goes through the engine's Plan step,
-//      serially, against the warmed catalog (the catalog and selectivity
-//      memos are not thread-safe); with the stats resolved in phase 2 this
-//      is pure arithmetic.
+//   3. Plan: each distinct query goes through the engine's Plan step
+//      against the warmed catalog; with the stats resolved in phase 2 this
+//      is mostly arithmetic.
 //   4. Resolve the execution-wave lists the plans actually need (the
 //      relaxation lists of kSpecQp singletons; kTrinit resolved everything
 //      in phase 2).
-//   5. Execute: one task per distinct query on the engine's ThreadPool
-//      (cross-query parallelism); each task runs the engine's Run step as
-//      one serial operator tree against the shared-scan cache and writes
-//      to its own response slot. Tasks never race plans, re-plan mid-query
-//      or feed the calibration log: those read the unlocked estimator
-//      memos, which concurrent tasks must not touch.
+//   5. Execute: one task per distinct query runs the engine's Run step
+//      against the shared-scan cache under its stop probe, into its own
+//      response slot. A batch of one distinct query runs its task on the
+//      calling thread with the engine pool (a partitioned tree or a plan
+//      race); a larger batch runs its tasks concurrently on the pool, each
+//      one serial tree (cross-query parallelism).
 //
-// Determinism: every per-query result is bit-identical to a sequential
-// immediate Submit at any thread count — plans are computed from the same
-// memoised statistics, shared/derived posting lists are bit-identical to
-// per-query builds, and serial trees equal partitioned trees by the PR 2
-// total-ordering invariant.
+// Determinism: every per-query result is bit-identical to executing the
+// query alone at any thread count — plans come from the same memoised
+// statistics, shared/derived posting lists are bit-identical to per-query
+// builds, and serial trees equal partitioned (or raced) ones by the
+// operators' total-ordering invariant.
 class BatchExecutor {
  public:
   explicit BatchExecutor(Engine* engine);
@@ -89,21 +88,29 @@ class BatchExecutor {
   // (kSpecQp), rows, and ExecStats; status is always Ok.
   //
   // `interrupts` (empty, or one slot per query; entries may be null)
-  // carries each query's cooperative stop signal — the admission window
-  // passes them. A distinct execution polls an interrupt only when every
-  // slot of its duplicate group shares that same interrupt — a group with
-  // an uninterruptible (or differently-interruptible) rider runs to
+  // carries each query's cooperative stop signal — the window step passes
+  // them. A distinct execution polls an interrupt only when every slot of
+  // its duplicate group shares that same interrupt — a group with an
+  // uninterruptible (or differently-interruptible) rider runs to
   // completion, and the stopped riders' owners translate their own
-  // interrupt state into terminal statuses afterwards. A slot whose
-  // execution aborted returns with whatever rows were not yet produced
-  // missing; callers gate on the interrupt before using the rows.
+  // interrupt state into terminal statuses afterwards. When every slot of
+  // the batch shares one interrupt, its stop probe also covers phases 2-4.
+  // A slot whose execution aborted returns with whatever rows were not yet
+  // produced missing; callers gate on the interrupt before using the rows.
   std::vector<QueryResponse> Execute(
       std::span<const Query> queries, size_t k, Strategy strategy,
       BatchStats* batch_stats,
       std::span<const ExecInterrupt* const> interrupts = {});
 
+  // Per slot of the last Execute, the plan that produced its rows (the
+  // runner-up after a won race, the re-ordered plan after a re-plan).
+  const std::vector<QueryPlan>& executed_plans() const {
+    return executed_plans_;
+  }
+
  private:
   Engine* engine_;
+  std::vector<QueryPlan> executed_plans_;
 };
 
 }  // namespace specqp

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/batch_executor.h"
 #include "query/parser.h"
 #include "rdf/store_io.h"
 #include "relax/expansion.h"
@@ -18,18 +19,18 @@ namespace specqp {
 
 namespace {
 
-// True once `interrupt` (may be null) has stopped or passed its deadline.
-bool Expired(const ExecInterrupt* interrupt) {
-  return interrupt != nullptr &&
-         (interrupt->Stopped() || interrupt->CheckDeadline());
-}
-
-// Bridges an ExecInterrupt across the rdf/topk layer boundary: installed
-// as the thread-local stop probe for the scope of one execution, so store
-// internals (ShardedStore::Match, posting-list builds) can poll
-// cancellation/deadline without depending on the topk layer.
-bool InterruptStopProbe(const void* ctx) {
-  return Expired(static_cast<const ExecInterrupt*>(ctx));
+// Installs EngineOptions::fault_plan process-wide, unless the injector
+// already runs it: Configure would re-arm its capped sites and reset the
+// counts an open just made.
+void ConfigureFaultPlan(const std::string& plan) {
+  if (plan.empty()) return;
+  FaultInjector& injector = FaultInjector::Global();
+  if (injector.plan() == StripWhitespace(plan)) return;
+  const Status configured = injector.Configure(plan);
+  if (!configured.ok()) {
+    SPECQP_LOG(Warning) << "ignoring malformed fault plan: "
+                        << configured.ToString();
+  }
 }
 
 }  // namespace
@@ -73,16 +74,7 @@ Engine::Engine(const TripleStore* store, const RelaxationIndex* rules,
       calibration_log_(options.calibration_log_capacity) {
   SPECQP_CHECK(store_ != nullptr && rules_ != nullptr);
   SPECQP_CHECK(store_->finalized()) << "Engine requires a finalized store";
-  if (!options_.fault_plan.empty()) {
-    // Process-wide and idempotent (OpenFromPath may have configured the
-    // same plan already, before the store open, so open-path probes fire).
-    const Status configured =
-        FaultInjector::Global().Configure(options_.fault_plan);
-    if (!configured.ok()) {
-      SPECQP_LOG(Warning) << "ignoring malformed fault plan: "
-                          << configured.ToString();
-    }
-  }
+  ConfigureFaultPlan(options_.fault_plan);
   if (!options_.calibration_path.empty()) {
     // Before the first GetStats, so every estimate this engine ever makes
     // is corrected consistently (including OpenFromPath's Preload, which
@@ -94,17 +86,7 @@ Engine::Engine(const TripleStore* store, const RelaxationIndex* rules,
 Result<Engine::Opened> Engine::OpenFromPath(const std::string& store_path,
                                             const RelaxationIndex* rules,
                                             const EngineOptions& options) {
-  // The fault plan must be live before the store opens so that open-path
-  // probes ("store.open", "shard.open") participate in the schedule; the
-  // Engine constructor re-applies it harmlessly.
-  if (!options.fault_plan.empty()) {
-    const Status configured =
-        FaultInjector::Global().Configure(options.fault_plan);
-    if (!configured.ok()) {
-      SPECQP_LOG(Warning) << "ignoring malformed fault plan: "
-                          << configured.ToString();
-    }
-  }
+  ConfigureFaultPlan(options.fault_plan);
   if (IsBundlePath(store_path)) {
     // Sharded bundle (SQPBNDL1): N cooperating mapped shards behind one
     // facade. Per-shard stats snapshots describe shard-local subsets, not
@@ -157,83 +139,114 @@ AdmissionController& Engine::admission() {
 }
 
 std::future<QueryResponse> Engine::Submit(QueryRequest request) {
-  if (request.admission == QueryRequest::Admission::kImmediate) {
-    std::promise<QueryResponse> promise;
-    promise.set_value(ExecuteRequest(request));
-    return promise.get_future();
+  if (request.admission == QueryRequest::Admission::kWindow) {
+    return admission().Submit(std::move(request));
   }
-  return admission().Submit(std::move(request));
+  // kImmediate: a window of one, served on the calling thread.
+  QueryResponse response;
+  Query parsed;
+  if (Resolve(request, &parsed, &response) != nullptr) {
+    Query& query = request.query.has_value() ? *request.query : parsed;
+    ExecInterrupt armed;
+    const ExecInterrupt* interrupt =
+        ArmInterrupt(request, &armed) ? &armed : nullptr;
+    response = std::move(ServeWindow(request.k, request.strategy, {&query, 1},
+                                     {&interrupt, 1}, nullptr)[0]);
+    response.tag = std::move(request.tag);
+  }
+  std::promise<QueryResponse> promise;
+  promise.set_value(std::move(response));
+  return promise.get_future();
 }
 
 QueryResponse Engine::Explain(const QueryRequest& request) {
   QueryResponse response;
   Query parsed;
   const Query* query = Resolve(request, &parsed, &response);
-  if (query != nullptr) Plan(*query, &response);
-  return response;
-}
-
-QueryResponse Engine::ExecuteRequest(const QueryRequest& request) {
-  QueryResponse response;
-  Query parsed;
-  const Query* query = Resolve(request, &parsed, &response);
   if (query == nullptr) return response;
-
   ExecInterrupt armed;
   const ExecInterrupt* interrupt =
       ArmInterrupt(request, &armed) ? &armed : nullptr;
-  if (Expired(interrupt)) {
-    // Terminated before any work: already-cancelled token or expired
-    // deadline at submit time.
-    response.status = StopStatus(interrupt->cause());
-    return response;
-  }
-
-  // Serving preflight: fault sweep + strict/degraded decision. A store
-  // with quarantined shards either refuses now (strict) or marks the
-  // response partial (degraded_reads).
-  uint64_t fault_epoch = 0;
-  response.status = PreflightServing(&response, &fault_epoch);
-  if (!response.status.ok()) return response;
-
-  QueryPlan executed_plan;
-  {
-    // Store internals poll this thread-local probe between shards and
-    // every few thousand merge steps, so cancellation aborts promptly even
-    // while execution is deep inside a scatter-gather or posting build. A
-    // null interrupt installs a null probe (StopRequested stays false).
-    ScopedStopProbe stop_probe(
-        interrupt != nullptr ? &InterruptStopProbe : nullptr, interrupt);
-    Plan(*query, &response);
-    ExecContext ctx(&response.stats, pool_.get(), /*shared_scans=*/nullptr,
-                    interrupt);
-    Run(*query, &request, &ctx, &response, &executed_plan);
-  }
-  Finish(interrupt, fault_epoch, &response);
-  if (!response.status.ok()) return response;
-
-  // Calibration loop: record what the planner believed against what the
-  // posting lists actually held (only for answered requests — an aborted
-  // or faulted run's observations are censored). The pattern records feed
-  // scripts/fit_estimator_correction.py; estimated_m is post-correction,
-  // so a fitted table converging to 1.0 multipliers means the loop closed.
-  for (const TriplePattern& q : query->patterns()) {
-    const PatternKey key = q.Key();
-    CalibrationPatternRecord record;
-    record.signature = PatternSignature(*store_, key);
-    record.estimated_m = estimator_.PatternCardinality(key);
-    record.actual_m =
-        static_cast<double>(postings_.GetUncounted(key)->size());
-    calibration_log_.RecordPattern(std::move(record));
-  }
-  CalibrationQueryRecord summary;
-  summary.estimated_cardinality = response.diagnostics.cardinality_estimate;
-  summary.observed_join_results = response.rows.size();
-  summary.plan = executed_plan.ToString();
-  summary.raced = response.stats.plans_raced > 0;
-  summary.runner_up_won = response.stats.race_wins_by_runnerup > 0;
-  calibration_log_.RecordQuery(std::move(summary));
+  ScopedStopProbe stop_probe = InstallStopProbe(interrupt);
+  Plan(*query, &response);
+  if (Expired(interrupt)) response.status = StopStatus(interrupt->cause());
   return response;
+}
+
+std::vector<QueryResponse> Engine::ServeWindow(
+    size_t k, Strategy strategy, std::span<Query> queries,
+    std::span<const ExecInterrupt* const> interrupts,
+    BatchStats* batch_stats) {
+  SPECQP_CHECK(interrupts.size() == queries.size());
+  // Serving preflight, once for the whole window (every request shares
+  // the store snapshot): fault sweep, strict/degraded decision, stale
+  // cache reconciliation. A refusal (kUnavailable) terminates every
+  // request in the window without executing — individual cancellations
+  // still win in Finish.
+  QueryResponse serving;
+  uint64_t fault_epoch = 0;
+  const Status serving_status = PreflightServing(&serving, &fault_epoch);
+
+  // Requests already stopped (cancelled while queued, deadline expired in
+  // the window) terminate without executing; the rest run as one batch.
+  std::vector<QueryResponse> responses(queries.size());
+  std::vector<size_t> live;  // indices into queries
+  std::vector<Query> live_queries;
+  std::vector<const ExecInterrupt*> live_interrupts;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    responses[i].status = serving_status;
+    if (!serving_status.ok() || Expired(interrupts[i])) continue;
+    live.push_back(i);
+    live_queries.push_back(std::move(queries[i]));
+    live_interrupts.push_back(interrupts[i]);
+  }
+  BatchExecutor batch(this);
+  if (!live.empty()) {
+    std::vector<QueryResponse> ran = batch.Execute(
+        live_queries, k, strategy, batch_stats, live_interrupts);
+    for (size_t j = 0; j < live.size(); ++j) {
+      responses[live[j]] = std::move(ran[j]);
+    }
+  }
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryResponse& response = responses[i];
+    response.strategy = strategy;
+    response.k = k;
+    // The window's degraded-read ledger rides on every response; Finish
+    // drops aborted answers and invalidates one a mid-window fault may
+    // have mixed (kIoError).
+    response.partial = serving.partial;
+    response.stats.shards_failed = serving.stats.shards_failed;
+    response.stats.shards_total = serving.stats.shards_total;
+    Finish(interrupts[i], fault_epoch, &response);
+  }
+
+  // Calibration loop, answered requests only (an aborted or faulted run's
+  // observations are censored). The records feed
+  // scripts/fit_estimator_correction.py; estimated_m is post-correction, so
+  // a fitted table converging to 1.0 multipliers means the loop closed.
+  for (size_t j = 0; j < live.size(); ++j) {
+    const QueryResponse& response = responses[live[j]];
+    if (!response.ok()) continue;
+    for (const TriplePattern& q : live_queries[j].patterns()) {
+      const PatternKey key = q.Key();
+      CalibrationPatternRecord record;
+      record.signature = PatternSignature(*store_, key);
+      record.estimated_m = estimator_.PatternCardinality(key);
+      record.actual_m =
+          static_cast<double>(postings_.GetUncounted(key)->size());
+      calibration_log_.RecordPattern(std::move(record));
+    }
+    CalibrationQueryRecord summary;
+    summary.estimated_cardinality = response.diagnostics.cardinality_estimate;
+    summary.observed_join_results = response.rows.size();
+    summary.plan = batch.executed_plans()[j].ToString();
+    summary.raced = response.stats.plans_raced > 0;
+    summary.runner_up_won = response.stats.race_wins_by_runnerup > 0;
+    calibration_log_.RecordQuery(std::move(summary));
+  }
+  return responses;
 }
 
 const Query* Engine::Resolve(const QueryRequest& request, Query* parsed,
@@ -272,19 +285,16 @@ void Engine::Plan(const Query& query, QueryResponse* response) {
   response->stats.plan_ms = plan_timer.ElapsedMillis();
 }
 
-void Engine::Run(const Query& query, const QueryRequest* request,
-                 ExecContext* ctx, QueryResponse* response,
-                 QueryPlan* executed_plan) {
+void Engine::Run(const Query& query, ExecContext* ctx,
+                 QueryResponse* response, QueryPlan* executed_plan) {
   WallTimer exec_timer;
-  AdaptivePolicy adaptive;
-  if (request != nullptr) {
-    adaptive = {options_.replan_divergence_factor, options_.replan_check_rows};
-  }
+  const AdaptivePolicy adaptive{options_.replan_divergence_factor,
+                                options_.replan_check_rows};
   // Plan racing: only the Spec-QP strategy produces a runner-up (the
   // primary with its least-confident PLANGEN decision flipped), and a race
   // needs the pool to time-share.
   const PlanDiagnostics& diag = response->diagnostics;
-  const bool race = request != nullptr && ctx->pool() != nullptr &&
+  const bool race = ctx->pool() != nullptr &&
                     response->strategy == Strategy::kSpecQp &&
                     options_.speculate_threshold > 0.0 &&
                     diag.has_runner_up && diag.least_confident_pattern >= 0 &&
@@ -292,10 +302,9 @@ void Engine::Run(const Query& query, const QueryRequest* request,
   if (race) {
     const double bound = speculative_.CertificateBound(
         query, static_cast<size_t>(diag.least_confident_pattern));
-    response->rows = speculative_.Race(query, *request, response->plan,
-                                       diag.runner_up, bound, adaptive,
-                                       ctx->pool(), &response->stats,
-                                       executed_plan);
+    response->rows =
+        speculative_.Race(query, response->plan, diag.runner_up, bound,
+                          response->k, adaptive, ctx, executed_plan);
   } else {
     response->rows = speculative_.RunAdaptive(
         query, response->plan, response->k, adaptive, ctx, executed_plan);

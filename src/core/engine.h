@@ -83,16 +83,13 @@ struct EngineOptions {
   // threshold > 1 forces a race whenever a runner-up exists. Requires
   // num_threads >= 2 (a race needs a pool to share); answers are identical
   // with racing on or off — the certificate gate makes the runner-up's
-  // result usable only when it provably matches the primary's. kImmediate
-  // requests only: windowed requests run as concurrent batch tasks, and
-  // the estimator memos a race reads have no locks.
+  // result usable only when it provably matches the primary's. Only a
+  // batch of one distinct query races (core/batch_executor.h).
   double speculate_threshold = 0.0;
   // Mid-query re-planning: once a leaf operator has emitted more than this
   // factor times its estimated cardinality, the (serial) execution stops,
   // re-orders the plan by actual posting sizes, and restarts on the warm
   // caches — at most once per execution. Values <= 1 disable adaptivity.
-  // kImmediate requests only, for the same reason as racing: the leaf
-  // estimates come from the unlocked estimator memos.
   double replan_divergence_factor = 0.0;
   // Cadence of the divergence checkpoints, in interrupt polls (roughly a
   // small multiple of rows pulled).
@@ -100,11 +97,9 @@ struct EngineOptions {
   // Estimate-calibration loop (stats/calibration.h): path of a correction
   // table fitted by scripts/fit_estimator_correction.py, loaded into the
   // statistics catalog at construction (empty = uncalibrated; a missing
-  // file is treated as empty). Every completed kImmediate execution also
-  // appends to the engine's in-memory CalibrationLog, bounded by
-  // calibration_log_capacity records per kind; windowed requests do not,
-  // because their batch tasks run concurrently and the estimate lookups go
-  // through the unlocked estimator memos.
+  // file is treated as empty). Every answered Submit also appends to the
+  // engine's in-memory CalibrationLog, bounded by calibration_log_capacity
+  // records per kind.
   std::string calibration_path;
   size_t calibration_log_capacity = 4096;
   // Engine::OpenFromPath only: memory-map the store file (zero-copy
@@ -137,8 +132,9 @@ struct EngineOptions {
   bool allow_quarantine = false;
   // Deterministic fault plan (util/fault_injector.h grammar, e.g.
   // "seed=7;shard.open.3=1@2;block.decode=0.01"), configured process-wide
-  // at engine construction. Empty (default): the injector is disarmed and
-  // every probe compiles down to one relaxed atomic load.
+  // before the store opens, unless the injector already runs it. Empty
+  // (default): the injector is disarmed and every probe compiles down to
+  // one relaxed atomic load.
   std::string fault_plan;
   // Admission-side overload shedding: reject new Submits with
   // kResourceExhausted (plus a retry_after_ms hint) once this many
@@ -163,15 +159,15 @@ struct EngineOptions {
 //   Submit(QueryRequest)  -> std::future<QueryResponse>   // execute
 //   Explain(QueryRequest) -> QueryResponse                // plan only
 //
-// Submit with the default windowed admission is safe to call from any
-// number of threads; requests accumulate into batch windows (close on
-// max-size or max-delay, EngineOptions::admission_*) that dispatch through
-// the batch executor, so online traffic gets the shared-scan amortisation
-// automatically. Pre-assembled batches go through BatchExecutor directly
-// (core/batch_executor.h). Every one of these paths runs the same private
-// request steps (Resolve, Plan, Run, Finish) and fills the same
-// QueryResponse; non-Submit entry points must not run concurrently with
-// anything else on the same engine.
+// Every entry point is safe to call from any number of threads. Submit
+// serves each request through one window step: windowed requests
+// accumulate into batch windows (close on max-size or max-delay,
+// EngineOptions::admission_*) that a dispatcher thread serves, so online
+// traffic gets the shared-scan amortisation automatically; a kImmediate
+// request is a window of one served on the calling thread. Pre-assembled
+// batches go through BatchExecutor directly (core/batch_executor.h). All
+// paths run the same private request steps and fill the same
+// QueryResponse; the planning memos they share are locked.
 class Engine {
  public:
   Engine(const TripleStore* store, const RelaxationIndex* rules,
@@ -223,20 +219,20 @@ class Engine {
   // (parse error, k == 0, and an already-cancelled token all complete the
   // future immediately with the terminal status), and queued into the
   // admission window for its (k, strategy); the future completes once the
-  // window has been dispatched. Thread-safe. With
-  // QueryRequest::Admission::kImmediate the request executes on the
-  // calling thread and the returned future is already ready — the
-  // lowest-latency path, subject to the legacy single-caller contract.
+  // window has been served. With QueryRequest::Admission::kImmediate the
+  // request is served on the calling thread as a window of one, and the
+  // returned future is already ready. Thread-safe either way.
   std::future<QueryResponse> Submit(QueryRequest request);
 
   // Plans `request` without executing it: the response carries the plan,
   // the PLANGEN diagnostics (kSpecQp), and plan_ms, with no rows. The
-  // blessed plan-introspection entry point. Runs on the calling thread;
-  // single-caller contract (it touches the planner memos).
+  // blessed plan-introspection entry point. Runs on the calling thread
+  // under the request's cancellation token and deadline: a stopped plan
+  // comes back with the terminal status. Thread-safe.
   QueryResponse Explain(const QueryRequest& request);
 
-  // The streaming admission layer behind Submit (created on first use);
-  // exposed for Flush() and its Stats counters.
+  // The streaming admission layer behind windowed Submit (created on first
+  // use); exposed for Flush() and its Stats counters.
   AdmissionController& admission();
 
   // Pre-materialises posting lists and statistics for a query and its
@@ -248,7 +244,7 @@ class Engine {
   const RelaxationIndex& rules() const { return *rules_; }
   PostingListCache& postings() { return postings_; }
   StatisticsCatalog& catalog() { return catalog_; }
-  // The engine's calibration log: every completed execution appends its
+  // The engine's calibration log: every answered Submit appends its
   // (estimate, actual) observations here; bench runs dump it into their
   // --json artifacts for scripts/fit_estimator_correction.py.
   const CalibrationLog& calibration_log() const { return calibration_log_; }
@@ -265,15 +261,21 @@ class Engine {
   friend class BatchExecutor;
   friend class AdmissionController;
 
-  // Submit's kImmediate path: Resolve, preflight, Plan, Run and Finish on
-  // the calling thread, then the calibration log.
-  QueryResponse ExecuteRequest(const QueryRequest& request);
-
   // --- the request steps (docs/ARCHITECTURE.md "Request lifecycle") -------
-  // Every entry point composes these: Explain (Resolve, Plan), the
-  // kImmediate path (all of them), BatchExecutor (Plan, Run) and the
-  // admission controller (Resolve at submit; preflight and Finish per
-  // window).
+  // Every entry point composes these: Explain (Resolve, Plan), Submit
+  // (Resolve, then ServeWindow — on the calling thread for kImmediate, on
+  // the admission dispatcher for kWindow) and BatchExecutor (Plan, Run).
+
+  // The window step: serves one window of queries (moved from) for `k`
+  // and `strategy`, one response per query. Runs the preflight once;
+  // queries it refuses, or whose interrupt (may be null) has stopped, skip
+  // execution, and the rest run as one BatchExecutor batch (`batch_stats`
+  // optional). Then Finish per response, and the calibration log per
+  // answered one. The caller stamps tag and admission diagnostics.
+  std::vector<QueryResponse> ServeWindow(
+      size_t k, Strategy strategy, std::span<Query> queries,
+      std::span<const ExecInterrupt* const> interrupts,
+      BatchStats* batch_stats);
 
   // Echoes the request into `response` (tag, strategy, k), checks k >= 1,
   // and parses text against the store dictionary. Returns the query to run
@@ -283,19 +285,15 @@ class Engine {
                        QueryResponse* response) const;
   // Plans `query` for response->strategy and response->k: PLANGEN with its
   // diagnostics for kSpecQp, the static all-singletons (kTrinit) or
-  // all-join-group (kNoRelax) plan otherwise. Sets stats.plan_ms. Touches
-  // the planner memos, so it runs on one thread at a time.
+  // all-join-group (kNoRelax) plan otherwise. Sets stats.plan_ms.
   void Plan(const Query& query, QueryResponse* response);
-  // Executes response->plan under `ctx` into response->rows, folds the
-  // partition counters, sets stats.exec_ms, and trims chain-relaxation
-  // scratch slots. With `request` (kImmediate only) the re-planning policy
-  // is live and a low-confidence kSpecQp plan races its runner-up on the
-  // context's pool; batch tasks pass none and run one tree, because they
-  // run concurrently and the estimator memos both of those read have no
-  // locks. `executed_plan` (optional) receives the plan that produced the
-  // rows.
-  void Run(const Query& query, const QueryRequest* request, ExecContext* ctx,
-           QueryResponse* response, QueryPlan* executed_plan = nullptr);
+  // Executes response->plan under `ctx` into response->rows under the
+  // re-planning policy of EngineOptions, folds the partition counters,
+  // sets stats.exec_ms, and trims chain-relaxation scratch slots. With a
+  // pool in `ctx`, a low-confidence kSpecQp plan races its runner-up on
+  // it. `executed_plan` receives the plan that produced the rows.
+  void Run(const Query& query, ExecContext* ctx, QueryResponse* response,
+           QueryPlan* executed_plan);
 
   // --- fault-tolerant serving (docs/ARCHITECTURE.md "Failure model") ------
   // Run before execution: sweeps latched mapping faults on a sharded

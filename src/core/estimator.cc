@@ -71,7 +71,7 @@ ExpectedScoreEstimator::Estimate ExpectedScoreEstimator::EstimateQuery(
   std::vector<TwoBucketHistogram> histograms;
   histograms.reserve(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
-    const PatternStats& stats = catalog_->GetStats(patterns[i].Key());
+    const PatternStats stats = catalog_->GetStats(patterns[i].Key());
     if (stats.empty()) return estimate;  // no answers possible through i
     const double w = weights.empty() ? 1.0 : weights[i];
     histograms.push_back(stats.Histogram().ScaledBy(w));

@@ -43,6 +43,19 @@ bool ArmInterrupt(const QueryRequest& request, ExecInterrupt* interrupt) {
   return request.cancel.valid() || request.deadline.has_value();
 }
 
+bool Expired(const ExecInterrupt* interrupt) {
+  return interrupt != nullptr &&
+         (interrupt->Stopped() || interrupt->CheckDeadline());
+}
+
+ScopedStopProbe InstallStopProbe(const ExecInterrupt* interrupt) {
+  return ScopedStopProbe(
+      [](const void* ctx) {
+        return Expired(static_cast<const ExecInterrupt*>(ctx));
+      },
+      interrupt);
+}
+
 Status StopStatus(StopCause cause) {
   switch (cause) {
     case StopCause::kCancelled:

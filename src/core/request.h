@@ -15,6 +15,7 @@
 #include "topk/exec_stats.h"
 #include "topk/scored_row.h"
 #include "util/status.h"
+#include "util/stop_probe.h"
 
 namespace specqp {
 
@@ -88,13 +89,12 @@ struct QueryRequest {
   // Caller label, echoed verbatim in the response (request tracing).
   std::string tag;
 
-  // kWindow (default): the request joins the engine's admission window and
-  // is dispatched as part of a batch (shared scans, duplicate collapsing;
-  // closes on max-size or max-delay). Safe to call from any number of
-  // threads concurrently. kImmediate: execute on the submitting thread
-  // with no batching — the lowest-latency path, but it must not run
-  // concurrently with other executions on the same engine (the planner
-  // memos are not locked).
+  // Where the request waits. kWindow (default): it joins the engine's
+  // admission window for its (k, strategy) and is served with the window
+  // on the dispatcher thread (shared scans, duplicate collapsing; closes
+  // on max-size or max-delay). kImmediate: it is served at once, on the
+  // submitting thread, as a window of one. Both go through the same
+  // window step and are safe to call from any number of threads.
   enum class Admission { kWindow, kImmediate };
   Admission admission = Admission::kWindow;
 
@@ -128,8 +128,8 @@ struct QueryResponse {
   std::string tag;
   Strategy strategy = Strategy::kSpecQp;
   size_t k = 0;
-  size_t window_size = 0;   // requests dispatched in this window (0 = immediate)
-  double admission_ms = 0.0;  // submit-to-dispatch queueing delay
+  size_t window_size = 0;   // requests dispatched in this window (0 = kImmediate)
+  double admission_ms = 0.0;  // submit-to-dispatch queueing delay (0 = kImmediate)
   // Set on kResourceExhausted (overload shed): how long the caller should
   // back off before resubmitting. 0 with a shed status means retrying is
   // pointless (e.g. the request's own deadline cannot be met).
@@ -145,6 +145,14 @@ bool ArmInterrupt(const QueryRequest& request, ExecInterrupt* interrupt);
 
 // The terminal status of an execution stopped for `cause`.
 Status StopStatus(StopCause cause);
+
+// True once `interrupt` (may be null) has stopped or passed its deadline.
+bool Expired(const ExecInterrupt* interrupt);
+
+// Installs `interrupt` (may be null) as the calling thread's stop probe for
+// the guard's lifetime, so the store and stats layers (ShardedStore::Match,
+// posting builds, exact counts) poll its cancellation and deadline.
+ScopedStopProbe InstallStopProbe(const ExecInterrupt* interrupt);
 
 }  // namespace specqp
 

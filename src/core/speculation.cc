@@ -8,6 +8,7 @@
 
 #include "topk/top_k.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace specqp {
 
@@ -160,12 +161,10 @@ std::vector<ScoredRow> SpeculativeExecutor::RunAdaptive(
 }
 
 std::vector<ScoredRow> SpeculativeExecutor::Race(
-    const Query& query, const QueryRequest& request, const QueryPlan& primary,
-    const QueryPlan& runner_up, double certificate_bound,
-    const AdaptivePolicy& policy, ThreadPool* pool, ExecStats* stats,
-    QueryPlan* executed_plan) {
-  SPECQP_CHECK(pool != nullptr && stats != nullptr);
-  const size_t k = request.k;
+    const Query& query, const QueryPlan& primary, const QueryPlan& runner_up,
+    double certificate_bound, size_t k, const AdaptivePolicy& policy,
+    ExecContext* ctx, QueryPlan* executed_plan) {
+  SPECQP_CHECK(ctx->pool() != nullptr);
 
   struct RacerSlot {
     const QueryPlan* plan = nullptr;
@@ -180,7 +179,7 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
   RacerSlot racers[2];
   racers[0].plan = &primary;
   racers[1].plan = &runner_up;
-  for (RacerSlot& slot : racers) ArmInterrupt(request, &slot.interrupt);
+  for (RacerSlot& slot : racers) slot.interrupt.Inherit(ctx->interrupt());
 
   std::atomic<int> winner{-1};
   const auto claim = [&racers, &winner](int index) {
@@ -201,21 +200,21 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
     // Racers build strictly serial trees (no pool in the context): the two
     // plans time-share the pool's slots instead of nesting partitioned
     // parallelism inside a race.
-    ExecContext ctx(&slot.stats, /*pool=*/nullptr, /*shared_scans=*/nullptr,
-                    &slot.interrupt);
+    ExecContext racer_ctx(&slot.stats, /*pool=*/nullptr, ctx->shared_scans(),
+                          &slot.interrupt);
     if (index == 0 && policy.enabled()) {
       // The primary racer keeps its adaptive checkpoints; committing to a
       // re-plan claims the race first, so a re-plan win disables the live
       // race rather than racing a stale rival.
-      slot.rows = RunAdaptive(query, *slot.plan, k, policy, &ctx,
+      slot.rows = RunAdaptive(query, *slot.plan, k, policy, &racer_ctx,
                               &slot.executed, [&claim, index] { claim(index); });
     } else {
       slot.executed = *slot.plan;
-      auto root = executor_->Build(query, *slot.plan, &ctx);
+      auto root = executor_->Build(query, *slot.plan, &racer_ctx);
       slot.rows = PullTopK(root.get(), k, &slot.stats);
       root.reset();
     }
-    ctx.MergePartitionStats();
+    racer_ctx.MergePartitionStats();
 
     if (slot.interrupt.cause() != StopCause::kRaceLost) {
       // Usable? The primary always is (it is exactly what speculation-off
@@ -235,7 +234,7 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([&run_racer] { run_racer(0); });
   tasks.emplace_back([&run_racer] { run_racer(1); });
-  pool->RunAndWait(&tasks);
+  ctx->pool()->RunAndWait(&tasks);
 
   // Both racers have joined; no claim at all means both were stopped
   // externally (cancel/deadline) or the runner-up failed its certificate
@@ -246,6 +245,7 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
   RacerSlot& win = racers[win_index];
   RacerSlot& lose = racers[1 - win_index];
 
+  ExecStats* stats = ctx->stats();
   *stats += win.stats;  // winner-only: no double-counted operator work
   stats->plans_raced += 2;
   if (win_index == 1) ++stats->race_wins_by_runnerup;

@@ -9,14 +9,12 @@
 #include "core/estimator.h"
 #include "core/plan_executor.h"
 #include "core/query_plan.h"
-#include "core/request.h"
 #include "query/query.h"
 #include "rdf/posting_list.h"
 #include "relax/relaxation_index.h"
 #include "topk/exec_context.h"
 #include "topk/exec_stats.h"
 #include "topk/scored_row.h"
-#include "util/thread_pool.h"
 
 namespace specqp {
 
@@ -40,8 +38,9 @@ struct AdaptivePolicy {
 //   - Race(): when the planner's least-confident decision falls below
 //     EngineOptions::speculate_threshold, the primary plan and the
 //     runner-up (primary with that one decision flipped) execute
-//     concurrently on the engine pool, each under a private ExecInterrupt
-//     and ExecStats. The first racer to finish with a *usable* result
+//     concurrently on the execution's pool, each under a private
+//     ExecInterrupt (armed with the execution's cancellation flag and
+//     deadline) and ExecStats. The first racer to finish with a *usable* result
 //     claims the win via an atomic CAS and stops its rival with
 //     StopCause::kRaceLost; only the winner's counters reach the caller's
 //     ExecStats (the loser feeds the speculation ledger).
@@ -67,12 +66,10 @@ struct AdaptivePolicy {
 //     pure function of input contents), so the splice is answer-preserving
 //     by construction.
 //
-// Thread-safety: Race() is safe to call from one execution at a time per
-// engine (the engine's single-execution contract); the racers themselves
-// only touch thread-safe engine state (the posting cache) plus private
-// per-racer state, except the primary racer's estimate lookups against the
-// statistics catalog — the runner-up never reads the catalog, so those
-// stay single-threaded.
+// Thread-safety: any number of executions may run through one
+// SpeculativeExecutor at once. It keeps no state of its own; executions
+// and racers touch only thread-safe engine state (the posting cache, the
+// statistics catalog) plus their private contexts.
 class SpeculativeExecutor {
  public:
   SpeculativeExecutor(PlanExecutor* executor, PostingListCache* postings,
@@ -108,20 +105,20 @@ class SpeculativeExecutor {
       QueryPlan* executed_plan = nullptr,
       const std::function<void()>& on_replan = nullptr);
 
-  // Races `primary` against `runner_up` on `pool` (must be non-null).
-  // `certificate_bound` comes from CertificateBound() for the flipped
-  // pattern. The winner's rows are returned and its counters folded into
-  // `stats` together with the speculation ledger (plans_raced,
+  // Races `primary` against `runner_up` for the top `k` on ctx's pool
+  // (must be non-null). `certificate_bound` comes from CertificateBound()
+  // for the flipped pattern. Both racers read through ctx's shared scans
+  // and honour the cancellation flag and deadline of ctx's interrupt. The
+  // winner's rows are returned and its counters folded into ctx's stats
+  // together with the speculation ledger (plans_raced,
   // race_wins_by_runnerup, speculative_work_wasted_rows,
-  // race_loser_abort_ms). The request supplies k plus the cancellation
-  // flag / deadline both racers honour. `executed_plan` (optional)
-  // receives the winner's executed plan.
-  std::vector<ScoredRow> Race(const Query& query, const QueryRequest& request,
-                              const QueryPlan& primary,
+  // race_loser_abort_ms). `executed_plan` (optional) receives the winner's
+  // executed plan.
+  std::vector<ScoredRow> Race(const Query& query, const QueryPlan& primary,
                               const QueryPlan& runner_up,
-                              double certificate_bound,
-                              const AdaptivePolicy& policy, ThreadPool* pool,
-                              ExecStats* stats, QueryPlan* executed_plan);
+                              double certificate_bound, size_t k,
+                              const AdaptivePolicy& policy, ExecContext* ctx,
+                              QueryPlan* executed_plan);
 
  private:
   // Estimated rows a leaf will emit: the pattern's (possibly calibrated)

@@ -8,7 +8,6 @@
 #include "rdf/store_format.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
-#include "util/stop_probe.h"
 
 namespace specqp {
 
@@ -445,13 +444,14 @@ std::shared_ptr<const PostingList> PostingListCache::InsertLocked(
     std::shared_ptr<const PostingList> list) {
   // Two reasons a fresh list must NOT enter the cache:
   //  - the query driving this build was stopped (cancel / deadline /
-  //    fault): a sharded Match returns early with a truncated index set,
-  //    so the list (or a base list it was derived from) may be incomplete
-  //    — caching it would poison later queries long after the
-  //    cancellation;
+  //    fault) on a sharded store: its Match returns early with a
+  //    truncated index set, so the list (or a base list it was derived
+  //    from) may be incomplete — caching it would poison later queries
+  //    long after the cancellation. Other stores never cut a read short,
+  //    so their lists are complete and a retry finds them warm;
   //  - an injected "cache.alloc" fault simulates allocation pressure on
   //    the insert path (the list is still served to this caller).
-  if (ScopedStopProbe::StopRequested() || FaultShouldFail("cache.alloc")) {
+  if (store_->ReadsCutShort() || FaultShouldFail("cache.alloc")) {
     return list;
   }
   Entry entry;
@@ -491,7 +491,7 @@ std::shared_ptr<const PostingList> PostingListCache::Peek(
 }
 
 void PostingListCache::Resolve(std::span<const PatternKey> keys, Pins* pins,
-                               ResolveCounts* counts) {
+                               ResolveCounts* counts, bool derive) {
   // Pin the residents first; sort what is missing into object-bound
   // sibling groups (by predicate) and everything else.
   std::map<TermId, std::vector<PatternKey>> siblings;
@@ -512,7 +512,7 @@ void PostingListCache::Resolve(std::span<const PatternKey> keys, Pins* pins,
     }
   }
   for (const auto& [p, group] : siblings) {
-    if (DeriveIsCheaper(p, group)) {
+    if (derive && DeriveIsCheaper(p, group)) {
       DeriveSiblings(p, group, pins, counts);
     } else {
       for (const PatternKey& key : group) (*pins)[key] = Get(key);

@@ -283,10 +283,11 @@ class PostingListCache {
   //     a miss (the base list itself is fetched as Get fetches it);
   //   * every other key is built the way Get builds it (a miss).
   // Derived lists enter the cache through Get's insert step. `counts`
-  // (optional) accumulates what was derived. Builds run sibling groups
+  // (optional) accumulates what was derived. With `derive` false every
+  // missing key is built as Get builds it. Builds run sibling groups
   // first (by predicate), then the remaining keys in the order given.
   void Resolve(std::span<const PatternKey> keys, Pins* pins,
-               ResolveCounts* counts = nullptr);
+               ResolveCounts* counts = nullptr, bool derive = true);
 
   // The key's posting list split into `num_partitions` hash partitions on
   // triple slot `slot` (see rdf/posting_partition.h), memoised so repeated

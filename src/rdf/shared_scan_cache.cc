@@ -9,7 +9,8 @@
 
 namespace specqp {
 
-SharedScanCache::SharedScanCache(PostingListCache* base) : base_(base) {
+SharedScanCache::SharedScanCache(PostingListCache* base, bool derive)
+    : base_(base), derive_(derive) {
   SPECQP_CHECK(base_ != nullptr);
 }
 
@@ -26,7 +27,7 @@ void SharedScanCache::Prepare(std::span<const PatternKey> keys) {
   MutexLock lock(mu_);
   const size_t before = map_.size();
   PostingListCache::ResolveCounts resolved;
-  base_->Resolve(sorted, &map_, &resolved);
+  base_->Resolve(sorted, &map_, &resolved, derive_);
   counters_.resolved_lists += map_.size() - before;
   counters_.derived_lists += resolved.derived_lists;
   counters_.base_scans += resolved.base_scans;

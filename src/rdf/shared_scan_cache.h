@@ -36,7 +36,9 @@ class SharedScanCache {
     uint64_t base_scans = 0;      // base predicate lists used for derivation
   };
 
-  explicit SharedScanCache(PostingListCache* base);
+  // `derive` false: Prepare builds every missing key as Get does, with no
+  // shared base-list pass (PostingListCache::Resolve).
+  explicit SharedScanCache(PostingListCache* base, bool derive = true);
 
   SharedScanCache(const SharedScanCache&) = delete;
   SharedScanCache& operator=(const SharedScanCache&) = delete;
@@ -55,6 +57,7 @@ class SharedScanCache {
 
  private:
   PostingListCache* base_;
+  const bool derive_;
 
   mutable Mutex mu_;
   PostingListCache::Pins map_ SPECQP_GUARDED_BY(mu_);

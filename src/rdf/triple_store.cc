@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "util/logging.h"
+#include "util/stop_probe.h"
 
 namespace specqp {
 
@@ -193,6 +194,10 @@ std::span<const uint32_t> TripleStore::MatchIndices(
     return make_span(osp, r);
   }
   return SpoIndex();
+}
+
+bool TripleStore::ReadsCutShort() const {
+  return sharded_ != nullptr && ScopedStopProbe::StopRequested();
 }
 
 bool TripleStore::Contains(TermId s, TermId p, TermId o) const {

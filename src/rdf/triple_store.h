@@ -177,6 +177,10 @@ class TripleStore {
   // The sharded backend behind this facade (nullptr for monolithic
   // stores); the engine uses it to poll the failure surface above.
   const ShardedTripleSource* sharded_source() const { return sharded_; }
+  // True when a read this thread makes now may come back cut short: a
+  // sharded Match aborts its gather once the thread's stop probe fires.
+  // Lists, statistics and counts computed then must not be memoised.
+  bool ReadsCutShort() const;
 
   // Indices (into triples()) of all triples matching the key, in index
   // order. The returned span aliases internal storage.

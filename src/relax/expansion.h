@@ -28,8 +28,8 @@ PatternExpansion ExpandPattern(const RelaxationIndex& rules,
 
 // Batch-scoped memo: the expansion of each distinct pattern is mined once,
 // no matter how many queries of the batch (or relaxed variants of one
-// query) repeat the pattern. Not thread-safe — the batch prepare phase and
-// Engine::Warm run single-threaded.
+// query) repeat the pattern. Not thread-safe: each batch owns one and
+// prepares on one thread.
 class RelaxationExpansionCache {
  public:
   explicit RelaxationExpansionCache(const RelaxationIndex* rules);

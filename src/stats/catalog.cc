@@ -21,12 +21,34 @@ StatisticsCatalog::StatisticsCatalog(const TripleStore* store,
   SPECQP_CHECK(head_fraction_ > 0.0 && head_fraction_ < 1.0);
 }
 
-const PatternStats& StatisticsCatalog::GetStats(const PatternKey& key) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+PatternStats StatisticsCatalog::GetStats(const PatternKey& key) {
+  uint64_t generation = 0;
+  {
+    MutexLock lock(mu_);
+    const auto it = cache_.find(key);
+    if (it != cache_.end()) return it->second;
+    generation = generation_;
+  }
   PatternStats stats = Compute(key);
   ApplyCorrection(key, &stats);
+  MutexLock lock(mu_);
+  // Not memoised: a stopped computation on a sharded store may have read
+  // a truncated list, and one that straddles a Clear() a retired one.
+  if (store_->ReadsCutShort() || generation != generation_) {
+    return stats;
+  }
   return cache_.emplace(key, stats).first->second;
+}
+
+size_t StatisticsCatalog::size() const {
+  MutexLock lock(mu_);
+  return cache_.size();
+}
+
+void StatisticsCatalog::Clear() {
+  MutexLock lock(mu_);
+  cache_.clear();
+  ++generation_;
 }
 
 size_t StatisticsCatalog::LoadCalibration(const std::string& path) {
@@ -81,11 +103,14 @@ PatternStats StatisticsCatalog::Compute(const PatternKey& key) {
 
 std::vector<v3::StatsEntry> StatisticsCatalog::Snapshot() const {
   std::vector<v3::StatsEntry> rows;
-  rows.reserve(cache_.size());
-  for (const auto& [key, stats] : cache_) {
-    rows.push_back(v3::StatsEntry{key.s, key.p, key.o, /*reserved=*/0,
-                                  stats.m, stats.sigma_r, stats.s_r,
-                                  stats.s_m});
+  {
+    MutexLock lock(mu_);
+    rows.reserve(cache_.size());
+    for (const auto& [key, stats] : cache_) {
+      rows.push_back(v3::StatsEntry{key.s, key.p, key.o, /*reserved=*/0,
+                                    stats.m, stats.sigma_r, stats.s_r,
+                                    stats.s_m});
+    }
   }
   std::sort(rows.begin(), rows.end(),
             [](const v3::StatsEntry& a, const v3::StatsEntry& b) {
@@ -96,6 +121,7 @@ std::vector<v3::StatsEntry> StatisticsCatalog::Snapshot() const {
 
 size_t StatisticsCatalog::Preload(std::span<const v3::StatsEntry> entries) {
   size_t inserted = 0;
+  MutexLock lock(mu_);
   for (const v3::StatsEntry& row : entries) {
     PatternStats stats;
     stats.m = row.m;

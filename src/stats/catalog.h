@@ -1,6 +1,7 @@
 #ifndef SPECQP_STATS_CATALOG_H_
 #define SPECQP_STATS_CATALOG_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -12,6 +13,8 @@
 #include "rdf/triple_store.h"
 #include "stats/calibration.h"
 #include "stats/two_bucket_histogram.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace specqp {
 
@@ -39,6 +42,14 @@ struct PatternStats {
 // from the posting list and cache them, which is observationally equivalent
 // under the paper's warm-cache methodology (the benchmark harness warms the
 // catalog before timing, section 4.4).
+//
+// Thread-safe: every planning call on an engine shares one catalog. A value
+// is computed outside the lock and inserted first-wins (the values are
+// deterministic, so a lost race only repeats work). A value computed from
+// a read cut short by a stop (TripleStore::ReadsCutShort), or across a
+// Clear(), is returned but never memoised: it may describe a truncated or
+// retired list. The correction table is written once, at engine
+// construction, before any lookup.
 class StatisticsCatalog {
  public:
   StatisticsCatalog(const TripleStore* store, PostingListCache* postings,
@@ -47,11 +58,12 @@ class StatisticsCatalog {
   StatisticsCatalog(const StatisticsCatalog&) = delete;
   StatisticsCatalog& operator=(const StatisticsCatalog&) = delete;
 
-  const PatternStats& GetStats(const PatternKey& key);
+  // By value: a concurrent Clear() may drop the memoised entry.
+  PatternStats GetStats(const PatternKey& key);
 
   double head_fraction() const { return head_fraction_; }
-  size_t size() const { return cache_.size(); }
-  void Clear() { cache_.clear(); }
+  size_t size() const;
+  void Clear();
 
   // --- store-file snapshot (docs/FORMATS.md, section kStats) ---------------
 
@@ -92,7 +104,10 @@ class StatisticsCatalog {
   const TripleStore* store_;
   PostingListCache* postings_;
   double head_fraction_;
-  std::unordered_map<PatternKey, PatternStats, PatternKeyHash> cache_;
+  mutable Mutex mu_;
+  std::unordered_map<PatternKey, PatternStats, PatternKeyHash> cache_
+      SPECQP_GUARDED_BY(mu_);
+  uint64_t generation_ SPECQP_GUARDED_BY(mu_) = 0;  // Clear() count
   std::unordered_map<std::string, double> corrections_;
 };
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "util/logging.h"
+#include "util/stop_probe.h"
 #include "util/string_util.h"
 
 namespace specqp {
@@ -65,6 +68,23 @@ std::string MemoKey(const TriplePattern& a, const TriplePattern& b,
   return key;
 }
 
+// True when a variable occurs twice in `q` (e.g. ?x <p> ?x): only then can
+// a triple in the pattern's match range fail to bind it.
+bool RepeatsVariable(const TriplePattern& q) {
+  VarId vars[3];
+  const int distinct = q.Variables(vars);
+  const int slots = static_cast<int>(q.s.is_variable()) +
+                    static_cast<int>(q.p.is_variable()) +
+                    static_cast<int>(q.o.is_variable());
+  return distinct < slots;
+}
+
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  if (a != 0 && b > kMax / a) return kMax;
+  return a * b;
+}
+
 }  // namespace
 
 SelectivityEstimator::SelectivityEstimator(const TripleStore* store, Mode mode)
@@ -81,14 +101,24 @@ double SelectivityEstimator::JoinCardinality(const TriplePattern& a,
            static_cast<double>(store_->CountMatches(b.Key()));
   }
   const std::string memo_key = MemoKey(a, b, shared);
-  auto it = pair_memo_.find(memo_key);
-  if (it != pair_memo_.end()) return it->second;
+  {
+    MutexLock lock(mu_);
+    const auto it = pair_memo_.find(memo_key);
+    if (it != pair_memo_.end()) return it->second;
+  }
 
   const double count = (mode_ == Mode::kIndependence)
                            ? IndependencePairCount(a, b)
                            : ExactPairCount(a, b);
-  pair_memo_.emplace(memo_key, count);
-  return count;
+  // A stopped sharded store answers lookups empty; never memoise that.
+  if (store_->ReadsCutShort()) return count;
+  MutexLock lock(mu_);
+  return pair_memo_.emplace(memo_key, count).first->second;
+}
+
+size_t SelectivityEstimator::memo_size() const {
+  MutexLock lock(mu_);
+  return pair_memo_.size() + query_memo_.size();
 }
 
 double SelectivityEstimator::Selectivity(const TriplePattern& a,
@@ -190,13 +220,18 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
     }
     memo_key += "|";
   }
-  auto memo_it = query_memo_.find(memo_key);
-  if (memo_it != query_memo_.end()) return memo_it->second;
+  {
+    MutexLock lock(mu_);
+    const auto memo_it = query_memo_.find(memo_key);
+    if (memo_it != query_memo_.end()) return memo_it->second;
+  }
 
   // Evaluation order: cheapest pattern first, then repeatedly the cheapest
   // pattern connected to what is already bound (performance only; the
-  // count is order-independent).
+  // count is order-independent). A pick connected to nothing bound starts
+  // the next connected component of the query; `starts` records where.
   std::vector<size_t> order;
+  std::vector<size_t> starts;
   {
     std::vector<size_t> remaining(patterns.size());
     for (size_t i = 0; i < remaining.size(); ++i) remaining[i] = i;
@@ -223,6 +258,7 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
       }
       const size_t chosen = remaining[best_pos];
       remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best_pos));
+      if (order.empty() || !best_connected) starts.push_back(order.size());
       order.push_back(chosen);
       VarId vars[3];
       const int nv = patterns[chosen].Variables(vars);
@@ -231,15 +267,13 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
   }
 
   std::vector<TermId> bindings(query.num_vars(), kInvalidTermId);
+  bool stopped = false;
+  uint32_t steps = 0;
 
-  // Backtracking index-nested-loop join, narrowing each lookup with
-  // already-bound variables.
-  uint64_t count = 0;
-  auto recurse = [&](auto&& self, size_t depth) -> void {
-    if (depth == patterns.size()) {
-      ++count;
-      return;
-    }
+  // Backtracking index-nested-loop join over order[depth, end), narrowing
+  // each lookup with already-bound variables. Returns the number of
+  // bindings of those patterns consistent with `bindings`.
+  auto count_from = [&](auto&& self, size_t depth, size_t end) -> uint64_t {
     const TriplePattern& q = patterns[order[depth]];
     // Bind known variables into the lookup key.
     PatternKey key = q.Key();
@@ -251,8 +285,18 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
     refine(q.s, &key.s);
     refine(q.p, &key.p);
     refine(q.o, &key.o);
+    const std::span<const uint32_t> matches = store_->MatchIndices(key);
+    const bool last = depth + 1 == end;
+    // Every match of the last pattern binds its free variables, unless one
+    // repeats: the range size is then the count.
+    if (last && !RepeatsVariable(q)) return matches.size();
 
-    for (uint32_t idx : store_->MatchIndices(key)) {
+    uint64_t count = 0;
+    for (uint32_t idx : matches) {
+      if ((++steps & 1023u) == 0 && ScopedStopProbe::StopRequested()) {
+        stopped = true;
+      }
+      if (stopped) break;
       const Triple& t = store_->triple(idx);
       if (!ConsistentMatch(q, t)) continue;
       // Bind the still-free variables; remember which to unbind.
@@ -269,16 +313,26 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
         return slot == value;
       };
       if (bind(q.s, t.s) && bind(q.p, t.p) && bind(q.o, t.o)) {
-        self(self, depth + 1);
+        count += last ? 1 : self(self, depth + 1, end);
       }
       for (int i = 0; i < num_bound; ++i) {
         bindings[bound_here[i]] = kInvalidTermId;
       }
     }
+    return count;
   };
-  recurse(recurse, 0);
-  query_memo_.emplace(std::move(memo_key), count);
-  return count;
+
+  // Components share no variable, so the answers are their cross product.
+  uint64_t count = 1;
+  for (size_t c = 0; c < starts.size() && count > 0 && !stopped; ++c) {
+    const size_t end = c + 1 < starts.size() ? starts[c + 1] : order.size();
+    count = SaturatingMul(count, count_from(count_from, starts[c], end));
+  }
+  // A stopped count may be partial, and a stopped sharded store answers
+  // lookups empty: neither is memoised.
+  if (stopped || store_->ReadsCutShort()) return count;
+  MutexLock lock(mu_);
+  return query_memo_.emplace(std::move(memo_key), count).first->second;
 }
 
 }  // namespace specqp

@@ -7,6 +7,8 @@
 
 #include "query/query.h"
 #include "rdf/triple_store.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace specqp {
 
@@ -15,6 +17,11 @@ namespace specqp {
 // selectivities (footnote 3); kIndependence is the classical
 // 1/max(distinct) System-R estimate, kept as an ablation
 // (bench/ablation_selectivity).
+//
+// Thread-safe: every planning call on an engine shares the memos. Counts
+// are computed outside the lock and inserted first-wins (they are
+// deterministic). A count cut short by the thread's stop probe is returned
+// but never memoised.
 class SelectivityEstimator {
  public:
   enum class Mode {
@@ -49,11 +56,16 @@ class SelectivityEstimator {
   // memoised exact count under kExact).
   double QueryCardinality(const Query& query);
 
-  // Exact answer count by full enumeration (memoised backtracking join,
-  // cheapest-connected-pattern-first order).
+  // Exact answer count (memoised). Each connected component of the query
+  // is counted on its own by a backtracking join in
+  // cheapest-connected-pattern-first order, and the query's count is the
+  // product (saturating at UINT64_MAX). A component's last pattern is
+  // counted by its match range instead of binding each match when no
+  // variable repeats inside it. Polls the thread's stop probe; a stopped
+  // count is a partial one.
   uint64_t ExactQueryCardinality(const Query& query);
 
-  size_t memo_size() const { return pair_memo_.size() + query_memo_.size(); }
+  size_t memo_size() const;
 
  private:
   double ExactPairCount(const TriplePattern& a, const TriplePattern& b);
@@ -63,8 +75,10 @@ class SelectivityEstimator {
   const TripleStore* store_;
   Mode mode_;
   // Memo keys: textual encodings of the pattern keys + variable layout.
-  std::unordered_map<std::string, double> pair_memo_;
-  std::unordered_map<std::string, uint64_t> query_memo_;
+  mutable Mutex mu_;
+  std::unordered_map<std::string, double> pair_memo_ SPECQP_GUARDED_BY(mu_);
+  std::unordered_map<std::string, uint64_t> query_memo_
+      SPECQP_GUARDED_BY(mu_);
 };
 
 }  // namespace specqp

@@ -62,6 +62,17 @@ class ExecInterrupt {
 
   bool has_deadline() const { return has_deadline_; }
 
+  // Arms this interrupt with `other`'s (may be null) cancellation flag and
+  // deadline, not its latch: a speculative racer honours its execution's
+  // terms and can still be stopped on its own. Call before execution
+  // starts.
+  void Inherit(const ExecInterrupt* other) {
+    if (other == nullptr) return;
+    cancel_flag_ = other->cancel_flag_;
+    has_deadline_ = other->has_deadline_;
+    deadline_ = other->deadline_;
+  }
+
   // True once the execution should stop. Cheap (relaxed atomic loads, no
   // clock read) — safe to call per row.
   bool Stopped() const {

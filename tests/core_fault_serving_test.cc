@@ -1,10 +1,11 @@
 // Engine-level fault-tolerant serving: strict vs degraded answers over a
 // bundle with quarantined shards, mid-query fault invalidation (kIoError,
 // then partial answers), block-decode and store-open fault surfacing on
-// single-file backends — on both admission paths — admission-side
-// overload shedding (queue depth, also under concurrent submitters, and
-// hopeless deadlines), SubmitWithRetry semantics, and cancellation
-// responsiveness during sharded scatter-gather execution.
+// single-file backends — on both admission paths — an engine fault plan
+// that arms once per plan, admission-side overload shedding (queue depth,
+// also under concurrent submitters, and hopeless deadlines),
+// SubmitWithRetry semantics, and cancellation responsiveness during
+// sharded scatter-gather execution.
 
 #include <chrono>
 #include <filesystem>
@@ -315,6 +316,38 @@ TEST_F(FaultServingTest, StoreOpenFaultFailsOneOpenAndProbesOncePerOpen) {
       EXPECT_EQ(got.rows[i].score, expected.rows[i].score);
     }
   }
+}
+
+// EngineOptions::fault_plan arms the injector once per plan: OpenFromPath
+// installs it before the store opens, and neither a later open with the
+// same plan nor the Engine constructor re-arms its capped sites or resets
+// the counts an open made.
+TEST_F(FaultServingTest, EngineFaultPlanIsConfiguredOncePerPlan) {
+  Fixture fx = MakeFixture("fsv_engine_plan");
+  const std::string path = FreshDir("fsv_engine_plan_single") + "/store.sqps";
+  ASSERT_TRUE(SaveStore(fx.store, path).ok());
+  EngineOptions options;
+  options.num_threads = 1;
+  options.fault_plan = "seed=1;store.open=1@1";
+  auto failed = Engine::OpenFromPath(path, &fx.rules, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+      << failed.status().ToString();
+  auto opened = Engine::OpenFromPath(path, &fx.rules, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(FaultInjector::Global().ProbeCount("store.open"), 2u);
+
+  // Shard 1 of the bundle fails its first open; quarantine retries it and
+  // the bundle opens whole, with the fire still on the books.
+  EngineOptions bundle_options;
+  bundle_options.num_threads = 1;
+  bundle_options.allow_quarantine = true;
+  bundle_options.fault_plan = "shard.open.1=1@1";
+  auto bundle = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, bundle_options);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle.value().sharded->ShardsFailed(), 0u);
+  EXPECT_EQ(FaultInjector::Global().FireCount("shard.open.1"), 1u);
+  EXPECT_GE(FaultInjector::Global().ProbeCount("shard.open.1"), 2u);
 }
 
 TEST_F(FaultServingTest, QueueDepthShedsWithRetryAfterHint) {

@@ -1,7 +1,9 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <chrono>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,32 +256,201 @@ uint64_t ExpectColdExplainBuildsComparedLists(
   return built;
 }
 
+// The e2ebench data: default generators, the bench workload configs (66
+// XKG and 50 Twitter queries), generated once per process.
+struct DefaultWorkloads {
+  XkgDataset xkg = GenerateXkg(XkgConfig{});
+  TwitterDataset twitter = GenerateTwitter(TwitterConfig{});
+  std::vector<Query> xkg_queries;
+  std::vector<Query> twitter_queries;
+
+  DefaultWorkloads() {
+    XkgWorkloadConfig xkg_workload;
+    xkg_workload.seed = 71;
+    xkg_workload.queries_per_size = 22;
+    xkg_workload.min_relaxations = 10;
+    xkg_queries = MakeXkgWorkload(xkg, xkg_workload);
+    TwitterWorkloadConfig twitter_workload;
+    twitter_workload.seed = 73;
+    twitter_workload.queries_per_size = 25;
+    twitter_workload.min_relaxations = 5;
+    twitter_queries = MakeTwitterWorkload(twitter, twitter_workload);
+  }
+};
+
+const DefaultWorkloads& Workloads() {
+  static const DefaultWorkloads* workloads = new DefaultWorkloads();
+  return *workloads;
+}
+
 TEST(PlannerTest, ColdExplainBuildsOnlyTheComparedLists) {
-  // The e2ebench data: default generators, the bench workload configs.
   // Planning that also estimated the read cost of the primary and
   // runner-up plans built 1,060 and 1,201 lists here.
-  const XkgDataset xkg = GenerateXkg(XkgConfig{});
-  XkgWorkloadConfig xkg_workload;
-  xkg_workload.seed = 71;
-  xkg_workload.queries_per_size = 22;
-  xkg_workload.min_relaxations = 10;
-  const std::vector<Query> xkg_queries = MakeXkgWorkload(xkg, xkg_workload);
-  ASSERT_EQ(xkg_queries.size(), 66u);
-  EXPECT_EQ(
-      ExpectColdExplainBuildsComparedLists(xkg.store, xkg.rules, xkg_queries),
-      232u);
-
-  const TwitterDataset twitter = GenerateTwitter(TwitterConfig{});
-  TwitterWorkloadConfig twitter_workload;
-  twitter_workload.seed = 73;
-  twitter_workload.queries_per_size = 25;
-  twitter_workload.min_relaxations = 5;
-  const std::vector<Query> twitter_queries =
-      MakeTwitterWorkload(twitter, twitter_workload);
-  ASSERT_EQ(twitter_queries.size(), 50u);
-  EXPECT_EQ(ExpectColdExplainBuildsComparedLists(twitter.store, twitter.rules,
-                                                 twitter_queries),
+  const DefaultWorkloads& data = Workloads();
+  ASSERT_EQ(data.xkg_queries.size(), 66u);
+  EXPECT_EQ(ExpectColdExplainBuildsComparedLists(data.xkg.store, data.xkg.rules,
+                                                 data.xkg_queries),
+            232u);
+  ASSERT_EQ(data.twitter_queries.size(), 50u);
+  EXPECT_EQ(ExpectColdExplainBuildsComparedLists(
+                data.twitter.store, data.twitter.rules, data.twitter_queries),
             175u);
+}
+
+// --- exact cardinality ------------------------------------------------------
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define SPECQP_SANITIZED_BUILD 1
+#endif
+#if !defined(SPECQP_SANITIZED_BUILD) && defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define SPECQP_SANITIZED_BUILD 1
+#endif
+#endif
+
+// A query's answer count by a nested-loop join in the query's own pattern
+// order, +1 per answer: the count PLANGEN used before it split components
+// and counted last patterns by their match range.
+uint64_t CountByEnumeration(const TripleStore& store, const Query& query) {
+  std::vector<TermId> bindings(query.num_vars(), kInvalidTermId);
+  auto count_from = [&](auto&& self, size_t depth) -> uint64_t {
+    if (depth == query.num_patterns()) return 1;
+    const TriplePattern& q = query.pattern(depth);
+    PatternKey key = q.Key();
+    const auto refine = [&](const PatternTerm& term, TermId* out) {
+      if (term.is_variable() && bindings[term.var()] != kInvalidTermId) {
+        *out = bindings[term.var()];
+      }
+    };
+    refine(q.s, &key.s);
+    refine(q.p, &key.p);
+    refine(q.o, &key.o);
+    uint64_t count = 0;
+    for (const uint32_t idx : store.MatchIndices(key)) {
+      const Triple& t = store.triple(idx);
+      VarId bound_here[3];
+      int num_bound = 0;
+      bool ok = true;
+      for (const auto& [term, value] :
+           {std::pair{q.s, t.s}, std::pair{q.p, t.p}, std::pair{q.o, t.o}}) {
+        if (!term.is_variable()) continue;
+        TermId& slot = bindings[term.var()];
+        if (slot == kInvalidTermId) {
+          slot = value;
+          bound_here[num_bound++] = term.var();
+        } else {
+          ok = ok && slot == value;
+        }
+      }
+      if (ok) count += self(self, depth + 1);
+      for (int i = 0; i < num_bound; ++i) bindings[bound_here[i]] = kInvalidTermId;
+    }
+    return count;
+  };
+  return count_from(count_from, 0);
+}
+
+// The counts PLANGEN compares for the e2ebench workloads: each query, and
+// each query with one pattern replaced by its top simple relaxation.
+TEST(PlannerTest, ExactCardinalityOfWorkloadQueriesIsUnchanged) {
+  const DefaultWorkloads& data = Workloads();
+  const struct {
+    const TripleStore* store;
+    const RelaxationIndex* rules;
+    const std::vector<Query>& queries;
+  } bundles[] = {
+      {&data.xkg.store, &data.xkg.rules, data.xkg_queries},
+      {&data.twitter.store, &data.twitter.rules, data.twitter_queries},
+  };
+  ASSERT_EQ(data.xkg_queries.size() + data.twitter_queries.size(), 116u);
+  size_t checked = 0;
+  for (const auto& bundle : bundles) {
+    SelectivityEstimator estimator(bundle.store);
+    for (size_t qi = 0; qi < bundle.queries.size(); ++qi) {
+      const Query& query = bundle.queries[qi];
+      std::vector<Query> variants = {query};
+      for (size_t i = 0; i < query.num_patterns(); ++i) {
+        const RelaxationRule* top = bundle.rules->TopRule(query.pattern(i).Key());
+        if (top == nullptr) continue;
+        auto relaxed = ApplyRule(query.pattern(i), *top);
+        ASSERT_TRUE(relaxed.ok());
+        variants.push_back(query);
+        variants.back().ReplacePattern(i, relaxed.value());
+      }
+      for (const Query& variant : variants) {
+        EXPECT_EQ(estimator.ExactQueryCardinality(variant),
+                  CountByEnumeration(*bundle.store, variant))
+            << "q" << qi;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 116u);
+}
+
+// A cross product and a high-fan-out self-join: counting each component on
+// its own and the last pattern by its range keeps the exact counts cheap.
+// Enumerating every answer planned them in 50 s and 0.7 s.
+TEST(PlannerTest, CrossProductAndSelfJoinPlanQuickly) {
+#if defined(SPECQP_SANITIZED_BUILD)
+  constexpr double kPlanBudgetMs = 10000.0;
+#else
+  constexpr double kPlanBudgetMs = 1000.0;
+#endif
+  const XkgDataset& xkg = Workloads().xkg;
+  EngineOptions options;
+  options.num_threads = 1;
+  const struct {
+    const char* text;
+    double cardinality;
+  } cases[] = {
+      {"SELECT * WHERE { ?a <rdf:type> ?t . ?b <plays> ?v }", 1043248030.0},
+      {"SELECT * WHERE { ?a <rdf:type> ?t . ?b <rdf:type> ?t }", 19253126.0},
+  };
+  for (const auto& c : cases) {
+    Engine engine(&xkg.store, &xkg.rules, options);
+    const QueryResponse explained =
+        engine.Explain(QueryRequest::FromText(c.text, 10));
+    ASSERT_TRUE(explained.ok()) << explained.status.ToString();
+    EXPECT_EQ(explained.diagnostics.cardinality_estimate, c.cardinality)
+        << c.text;
+    EXPECT_LT(explained.stats.plan_ms, kPlanBudgetMs) << c.text;
+  }
+}
+
+// A 3-pattern self-join still has an expensive exact count; its
+// enumeration polls the request's deadline, so Submit and Explain stop on
+// time instead of after the count.
+TEST(PlannerTest, DeadlineStopsAnExpensiveCount) {
+#if defined(SPECQP_SANITIZED_BUILD)
+  constexpr double kBudgetMs = 500.0;
+#else
+  constexpr double kBudgetMs = 50.0;
+#endif
+  constexpr auto kDeadline = std::chrono::milliseconds(100);
+  const char* text =
+      "SELECT * WHERE { ?a <rdf:type> ?t . ?b <rdf:type> ?t . "
+      "?c <rdf:type> ?t }";
+  const XkgDataset& xkg = Workloads().xkg;
+  EngineOptions options;
+  options.num_threads = 1;
+  for (const bool explain : {false, true}) {
+    Engine engine(&xkg.store, &xkg.rules, options);
+    QueryRequest request = QueryRequest::FromText(text, 10);
+    request.admission = QueryRequest::Admission::kImmediate;
+    request.WithTimeout(kDeadline);
+    const auto deadline = *request.deadline;
+    const QueryResponse response =
+        explain ? engine.Explain(request)
+                : engine.Submit(std::move(request)).get();
+    const double late_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - deadline)
+                               .count();
+    EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
+        << (explain ? "Explain: " : "Submit: ") << response.status.ToString();
+    EXPECT_TRUE(response.rows.empty());
+    EXPECT_LT(late_ms, kBudgetMs) << (explain ? "Explain" : "Submit");
+  }
 }
 
 TEST(QueryPlanTest, TrinitPlanAllSingletons) {

@@ -4,7 +4,9 @@
 // mid-query re-plan bit-identity, the calibration-log round trip through
 // scripts/fit_estimator_correction.py, and the full 116-query probe
 // asserting bit-identical answers with speculation forced on across all
-// three strategies and 1/2/8 threads.
+// three strategies and 1/2/8 threads. Re-planning and the probe run on
+// both admission paths: a window of one distinct query races and re-plans
+// as an immediate request does.
 
 #include <algorithm>
 #include <cstdlib>
@@ -145,14 +147,30 @@ struct SpecFixture {
         v3::StatsEntry{kInvalidTermId, p, obj_c, 0, kAnswers, 1.0, 9.6, 12.0});
   }
 
-  QueryResponse Run(Engine& engine, size_t k = 10) const {
-    // The paper's warm-cache setting — and a fairness requirement here: a
-    // race must be decided by plan quality, not by which racer happens to
-    // pay the one-off posting-list build for the shared store.
-    engine.Warm(query);
-    return testing::Execute(engine, query, k, Strategy::kSpecQp);
-  }
+  QueryResponse Run(Engine& engine, size_t k = 10,
+                    QueryRequest::Admission admission =
+                        QueryRequest::Admission::kImmediate) const;
 };
+
+// Submits `query` on the given admission path and CHECKs the status.
+QueryResponse SubmitVia(Engine& engine, const Query& query, size_t k,
+                        Strategy strategy,
+                        QueryRequest::Admission admission) {
+  QueryRequest request = QueryRequest::FromQuery(query, k, strategy);
+  request.admission = admission;
+  QueryResponse response = engine.Submit(std::move(request)).get();
+  SPECQP_CHECK(response.status.ok()) << response.status.ToString();
+  return response;
+}
+
+QueryResponse SpecFixture::Run(Engine& engine, size_t k,
+                               QueryRequest::Admission admission) const {
+  // The paper's warm-cache setting — and a fairness requirement here: a
+  // race must be decided by plan quality, not by which racer happens to
+  // pay the one-off posting-list build for the shared store.
+  engine.Warm(query);
+  return SubmitVia(engine, query, k, Strategy::kSpecQp, admission);
+}
 
 SpecFixture& Fix() {
   static auto* fx = new SpecFixture();
@@ -163,6 +181,24 @@ EngineOptions BaseOptions() {
   EngineOptions options;
   options.num_threads = 1;
   return options;
+}
+
+// Both admission paths; a windowed request dispatches alone (a window of
+// one), so every window holds one distinct query.
+constexpr QueryRequest::Admission kAdmissionModes[] = {
+    QueryRequest::Admission::kImmediate, QueryRequest::Admission::kWindow};
+
+EngineOptions ModeOptions(QueryRequest::Admission admission) {
+  EngineOptions options = BaseOptions();
+  if (admission == QueryRequest::Admission::kWindow) {
+    options.admission_max_batch = 1;
+  }
+  return options;
+}
+
+const char* AdmissionName(QueryRequest::Admission admission) {
+  return admission == QueryRequest::Admission::kWindow ? "window"
+                                                       : "immediate";
 }
 
 // --- plan racing -----------------------------------------------------------
@@ -301,28 +337,30 @@ TEST(SpeculativeExecutionTest, RacedStatsAreWinnerOnlyPlusLedger) {
 
 TEST(SpeculativeExecutionTest, ReplanRestartIsBitIdentical) {
   SpecFixture& fx = Fix();
+  for (const QueryRequest::Admission admission : kAdmissionModes) {
+    SCOPED_TRACE(AdmissionName(admission));
+    // No adaptivity: the poisoned slow plan runs straight through.
+    EngineOptions plain = ModeOptions(admission);
+    Engine engine_plain(&fx.store, &fx.rules, plain);
+    engine_plain.catalog().Preload(fx.poison_a);
+    engine_plain.catalog().Preload(fx.poison_c);
+    const QueryResponse expected = fx.Run(engine_plain, 10, admission);
+    EXPECT_EQ(expected.stats.replans_triggered, 0u);
 
-  // No adaptivity: the poisoned slow plan runs straight through.
-  EngineOptions plain = BaseOptions();
-  Engine engine_plain(&fx.store, &fx.rules, plain);
-  engine_plain.catalog().Preload(fx.poison_a);
-  engine_plain.catalog().Preload(fx.poison_c);
-  const QueryResponse expected = fx.Run(engine_plain);
-  EXPECT_EQ(expected.stats.replans_triggered, 0u);
+    // Adaptive: C's cardinality is claimed ~2500x low, so the divergence
+    // checkpoint fires mid-drain, the execution re-plans on warm memos,
+    // and the restarted run must return the identical top-k.
+    EngineOptions adaptive = ModeOptions(admission);
+    adaptive.replan_divergence_factor = 2.0;
+    adaptive.replan_check_rows = 64;
+    Engine engine_adaptive(&fx.store, &fx.rules, adaptive);
+    engine_adaptive.catalog().Preload(fx.poison_a);
+    engine_adaptive.catalog().Preload(fx.poison_c);
+    const QueryResponse replanned = fx.Run(engine_adaptive, 10, admission);
 
-  // Adaptive: C's cardinality is claimed ~2500x low, so the divergence
-  // checkpoint fires mid-drain, the execution re-plans on warm memos, and
-  // the restarted run must return the identical top-k.
-  EngineOptions adaptive = BaseOptions();
-  adaptive.replan_divergence_factor = 2.0;
-  adaptive.replan_check_rows = 64;
-  Engine engine_adaptive(&fx.store, &fx.rules, adaptive);
-  engine_adaptive.catalog().Preload(fx.poison_a);
-  engine_adaptive.catalog().Preload(fx.poison_c);
-  const QueryResponse replanned = fx.Run(engine_adaptive);
-
-  EXPECT_EQ(replanned.stats.replans_triggered, 1u);
-  ExpectSameRows(expected.rows, replanned.rows, "replan restart");
+    EXPECT_EQ(replanned.stats.replans_triggered, 1u);
+    ExpectSameRows(expected.rows, replanned.rows, "replan restart");
+  }
 }
 
 // --- calibration loop ------------------------------------------------------
@@ -392,10 +430,10 @@ TEST(SpeculativeExecutionTest, CalibrationRoundTripThroughFitScript) {
 // --- the 116-query probe ---------------------------------------------------
 
 // Speculation forced on (threshold 2.0 > any confidence) plus adaptive
-// re-planning, across all three strategies and 1/2/8 threads: answers must
-// be bit-identical to the serial speculation-off baseline for every bundled
-// workload query. This is the paper-scale guarantee that racing is a pure
-// latency optimisation.
+// re-planning, across all three strategies, 1/2/8 threads and both
+// admission paths: answers must be bit-identical to the serial
+// speculation-off baseline for every bundled workload query. This is the
+// paper-scale guarantee that racing is a pure latency optimisation.
 TEST(SpeculativeExecutionTest, ProbeBitIdenticalWithSpeculationForcedOn) {
   XkgConfig xkg_config;
   xkg_config.num_entities = 6000;
@@ -446,27 +484,30 @@ TEST(SpeculativeExecutionTest, ProbeBitIdenticalWithSpeculationForcedOn) {
             testing::Execute(baseline, query, 10, strategy).rows);
       }
 
-      for (const int threads : thread_counts) {
-        EngineOptions options = BaseOptions();
-        options.num_threads = threads;
-        options.speculate_threshold = 2.0;
-        options.replan_divergence_factor = 8.0;
-        Engine engine(bundle.store, bundle.rules, options);
-        uint64_t raced = 0;
-        for (size_t q = 0; q < bundle.workload->size(); ++q) {
-          const QueryResponse result = testing::Execute(
-              engine, (*bundle.workload)[q], 10, strategy);
-          raced += result.stats.plans_raced;
-          ExpectSameRows(
-              expected[q], result.rows,
-              StrFormat("%s/%s q%zu threads=%d", bundle.name,
-                        std::string(StrategyName(strategy)).c_str(), q,
-                        threads));
-        }
-        if (strategy == Strategy::kSpecQp && threads >= 2) {
-          EXPECT_GT(raced, 0u)
-              << bundle.name << " threads=" << threads
-              << ": forced speculation should race at least one query";
+      for (const QueryRequest::Admission admission : kAdmissionModes) {
+        for (const int threads : thread_counts) {
+          EngineOptions options = ModeOptions(admission);
+          options.num_threads = threads;
+          options.speculate_threshold = 2.0;
+          options.replan_divergence_factor = 8.0;
+          Engine engine(bundle.store, bundle.rules, options);
+          uint64_t raced = 0;
+          for (size_t q = 0; q < bundle.workload->size(); ++q) {
+            const QueryResponse result = SubmitVia(
+                engine, (*bundle.workload)[q], 10, strategy, admission);
+            raced += result.stats.plans_raced;
+            ExpectSameRows(
+                expected[q], result.rows,
+                StrFormat("%s/%s q%zu threads=%d %s", bundle.name,
+                          std::string(StrategyName(strategy)).c_str(), q,
+                          threads, AdmissionName(admission)));
+          }
+          if (strategy == Strategy::kSpecQp && threads >= 2) {
+            EXPECT_GT(raced, 0u)
+                << bundle.name << " threads=" << threads << " "
+                << AdmissionName(admission)
+                << ": forced speculation should race at least one query";
+          }
         }
       }
     }

@@ -1,5 +1,10 @@
 #include "stats/catalog.h"
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -58,10 +63,61 @@ TEST(StatisticsCatalogTest, MemoisesResults) {
   PostingListCache postings(&fx.store);
   StatisticsCatalog catalog(&fx.store, &postings);
   PatternKey key{kInvalidTermId, fx.type, fx.Id("singer")};
-  const PatternStats& a = catalog.GetStats(key);
-  const PatternStats& b = catalog.GetStats(key);
-  EXPECT_EQ(&a, &b);
+  const PatternStats a = catalog.GetStats(key);
+  const uint64_t lookups = postings.hits() + postings.misses();
+  const PatternStats b = catalog.GetStats(key);
+  // Served from the memo: no second posting-list lookup.
+  EXPECT_EQ(postings.hits() + postings.misses(), lookups);
+  EXPECT_EQ(a.m, b.m);
+  EXPECT_EQ(a.sigma_r, b.sigma_r);
+  EXPECT_EQ(a.s_r, b.s_r);
+  EXPECT_EQ(a.s_m, b.s_m);
   EXPECT_EQ(catalog.size(), 1u);
+}
+
+// Every planning call on an engine shares one catalog, and the serving
+// preflight may Clear() it while other requests read it.
+TEST(StatisticsCatalogTest, ConcurrentGetStatsAndClear) {
+  testing::MusicFixture fx = testing::MakeMusicFixture();
+  PostingListCache postings(&fx.store);
+  StatisticsCatalog catalog(&fx.store, &postings);
+  const std::vector<std::string> types = {"singer", "vocalist", "artist",
+                                          "musician", "lyricist", "writer"};
+  std::vector<PatternKey> keys;
+  std::vector<PatternStats> expected;
+  {
+    PostingListCache reference_postings(&fx.store);
+    StatisticsCatalog reference(&fx.store, &reference_postings);
+    for (const std::string& type : types) {
+      keys.push_back(PatternKey{kInvalidTermId, fx.type, fx.Id(type)});
+      expected.push_back(reference.GetStats(keys.back()));
+    }
+  }
+
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 5000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (t == 0 && round % 8 == 0) {
+          catalog.Clear();
+          continue;
+        }
+        const size_t i = static_cast<size_t>(t + round) % keys.size();
+        const PatternStats got = catalog.GetStats(keys[i]);
+        if (got.m != expected[i].m || got.sigma_r != expected[i].sigma_r ||
+            got.s_r != expected[i].s_r || got.s_m != expected[i].s_m) {
+          mismatches.fetch_add(1);
+        }
+        (void)catalog.size();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(catalog.size(), keys.size());
 }
 
 TEST(StatisticsCatalogTest, CustomHeadFraction) {
