@@ -19,7 +19,11 @@ double MaxDelayMs(const EngineOptions& options) {
 
 AdmissionController::AdmissionController(Engine* engine) : engine_(engine) {
   SPECQP_CHECK(engine_ != nullptr);
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  const int num_slots = engine_->num_threads();
+  slots_.reserve(static_cast<size_t>(num_slots));
+  for (int i = 0; i < num_slots; ++i) {
+    slots_.emplace_back([this] { SlotLoop(); });
+  }
 }
 
 AdmissionController::~AdmissionController() {
@@ -28,9 +32,9 @@ AdmissionController::~AdmissionController() {
     stop_ = true;
   }
   cv_.NotifyAll();
-  dispatcher_.join();
-  // The dispatcher drained every open and closed window before exiting, so
-  // no promise is ever abandoned.
+  for (std::thread& slot : slots_) slot.join();
+  // A slot exits only once both queues are empty, and a window it took is
+  // served before it looks again, so no promise is ever abandoned.
 }
 
 bool AdmissionController::QueueFullLocked() const {
@@ -94,10 +98,10 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
     response.status = StopStatus(interrupt->cause());
     return reject(std::move(response));
   }
-  // Deadline-aware shedding: a deadline that cannot outlast the
-  // worst-case window delay would only be DOA'd at dispatch. Shed it now
-  // so the caller learns immediately; retry_after_ms stays 0 because
-  // resubmitting the same deadline cannot help.
+  // Deadline-aware shedding: a deadline that cannot outlast the configured
+  // window delay would only be DOA'd at dispatch. Shed it now so the
+  // caller learns immediately; retry_after_ms stays 0 because resubmitting
+  // the same deadline cannot help.
   if (options.admission_deadline_shed && request.deadline.has_value() &&
       *request.deadline <
           std::chrono::steady_clock::now() +
@@ -117,7 +121,7 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
 
   const WindowKey key{pending.request.k,
                       static_cast<int>(pending.request.strategy)};
-  bool wake_dispatcher = false;
+  bool wake_slot = false;
   {
     MutexLock lock(mu_);
     // Checked again where the slot is taken: concurrent submitters may all
@@ -130,19 +134,21 @@ std::future<QueryResponse> AdmissionController::Submit(QueryRequest request) {
       if (window.pending.empty()) {
         window.id = ++next_window_id_;
         window.age.Reset();
-        wake_dispatcher = true;  // dispatcher must learn the new delay bound
+        wake_slot = true;  // a free slot takes it, at once or when due
       }
       window.pending.push_back(std::move(pending));
       if (window.pending.size() >= options.admission_max_batch) {
         auto node = open_.extract(key);
         CloseWindowLocked(key, std::move(node.mapped()),
                           &Stats::closed_on_size);
-        wake_dispatcher = true;
+        wake_slot = true;
       }
     }
   }
   if (full) return shed_queue_full(std::move(response));
-  if (wake_dispatcher) cv_.NotifyAll();
+  // One new unit of work needs one free slot; a busy slot looks again
+  // when its window is served.
+  if (wake_slot) cv_.NotifyOne();
   return future;
 }
 
@@ -171,31 +177,45 @@ AdmissionController::Stats AdmissionController::stats() const {
   return stats_;
 }
 
-void AdmissionController::DispatcherLoop() {
+std::map<AdmissionController::WindowKey, AdmissionController::Window>::iterator
+AdmissionController::OldestOpenLocked() {
+  auto oldest = open_.end();
+  for (auto it = open_.begin(); it != open_.end(); ++it) {
+    if (oldest == open_.end() || it->second.id < oldest->second.id) {
+      oldest = it;
+    }
+  }
+  return oldest;
+}
+
+void AdmissionController::SlotLoop() {
   // Explicit Lock/Unlock so the thread-safety analysis follows the lock
   // being dropped around DispatchWindow (which must run unlocked: it
   // executes queries and takes mu_ itself for stats).
   mu_.Lock();
   while (true) {
-    // Move delay-expired windows to the closed queue.
+    // Nothing closed is waiting: close the oldest open window if it has
+    // waited out the delay.
     const double max_delay_ms = MaxDelayMs(engine_->options());
-    for (auto it = open_.begin(); it != open_.end();) {
-      if (!it->second.pending.empty() &&
-          it->second.age.ElapsedMillis() >= max_delay_ms) {
-        CloseWindowLocked(it->first, std::move(it->second),
-                          &Stats::closed_on_delay);
-        it = open_.erase(it);
-      } else {
-        ++it;
-      }
+    auto oldest = OldestOpenLocked();
+    if (closed_.empty() && oldest != open_.end() &&
+        oldest->second.age.ElapsedMillis() >= max_delay_ms) {
+      CloseWindowLocked(oldest->first, std::move(oldest->second),
+                        &Stats::closed_on_delay);
+      open_.erase(oldest);
+      oldest = open_.end();
     }
 
     if (!closed_.empty()) {
       auto [key, window] = std::move(closed_.front());
-      closed_.erase(closed_.begin());
+      closed_.pop_front();
       ++stats_.windows_dispatched;
       stats_.max_window_size =
           std::max(stats_.max_window_size, window.pending.size());
+      // If work remains, wake another slot to look at it: Submit's one
+      // wake-up per window may have reached this slot, or one that went
+      // back to sleep on an older window's delay.
+      if (!closed_.empty() || !open_.empty()) cv_.NotifyOne();
       mu_.Unlock();
       DispatchWindow(key, std::move(window));
       mu_.Lock();
@@ -203,27 +223,22 @@ void AdmissionController::DispatcherLoop() {
     }
 
     if (stop_) {
-      // Shutdown drain: close whatever is still open and loop once more.
-      bool drained = true;
+      // Shutdown drain: close whatever is still open and loop once more;
+      // the slot exits once both queues are empty.
+      if (open_.empty()) break;
       for (auto& [key, window] : open_) {
-        if (window.pending.empty()) continue;
         CloseWindowLocked(key, std::move(window), &Stats::closed_on_flush);
-        drained = false;
       }
       open_.clear();
-      if (drained) break;
       continue;
     }
 
-    if (open_.empty()) {
+    if (oldest == open_.end()) {
       while (!stop_ && closed_.empty() && open_.empty()) cv_.Wait(mu_);
     } else {
       // Sleep until the oldest window's delay expires (or new work).
-      double oldest_ms = 0.0;
-      for (const auto& [key, window] : open_) {
-        oldest_ms = std::max(oldest_ms, window.age.ElapsedMillis());
-      }
-      const double remaining_ms = std::max(0.0, max_delay_ms - oldest_ms);
+      const double remaining_ms =
+          std::max(0.0, max_delay_ms - oldest->second.age.ElapsedMillis());
       cv_.WaitFor(mu_, std::chrono::duration<double, std::milli>(
                            remaining_ms + 0.05));
     }

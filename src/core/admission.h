@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -26,22 +27,28 @@ class Engine;
 // one on the calling thread.)
 //
 // Submissions accumulate in per-(k, strategy) windows (those are the batch
-// dimensions BatchExecutor shares across a whole batch). A window closes —
-// and is served through the engine's window step (Engine::ServeWindow),
-// so its queries get the shared-scan / duplicate-collapsing /
-// one-snapshot amortisation of batch execution — when it reaches
-// EngineOptions::admission_max_batch queries or when its oldest submission
-// has waited admission_max_delay_ms, whichever happens first. Flush()
-// closes every open window immediately (shutdown, tests, end of a burst).
-// The controller reads its settings from the engine's options.
+// dimensions BatchExecutor shares across a whole batch). A window is
+// served through the engine's window step (Engine::ServeWindow), so its
+// queries get the shared-scan / duplicate-collapsing / one-snapshot
+// amortisation of batch execution. Admission is work-conserving: the
+// controller runs Engine::num_threads() dispatch slots, and a free slot
+// takes the oldest closed window or, failing that, closes the oldest open
+// window once its age has reached EngineOptions::admission_max_delay_ms
+// (0 by default, so at once). A window therefore grows only while every
+// slot is busy, or until it reaches admission_max_batch queries, which
+// closes it on the spot. Flush() closes every open window immediately
+// (shutdown, tests, end of a burst). The controller reads its settings
+// from the engine's options.
 //
 // Threading: Submit() never blocks on query execution — it runs the
 // engine's Resolve step (k >= 1, parse) and the submit-time checks
 // (already-cancelled token, already-expired deadline, overload sheds),
-// enqueues, and returns a future. One background dispatcher thread closes
-// windows and serves them one at a time; parallelism inside a window comes
-// from the engine's thread pool. The destructor flushes and drains every
-// pending request before returning — no future is ever abandoned.
+// enqueues, and returns a future. The dispatch slots are background
+// threads running one loop; up to num_threads() windows are in service
+// at once, so futures of different windows may complete in any order.
+// Concurrent windows share the engine's thread pool, which also carries
+// the parallelism inside each window. The destructor flushes and drains
+// every pending request before returning — no future is ever abandoned.
 //
 // Cancellation and deadlines ride along: each request with a token or
 // deadline gets an ExecInterrupt that the window's operator trees poll
@@ -71,7 +78,7 @@ class AdmissionController {
   };
 
   explicit AdmissionController(Engine* engine);
-  ~AdmissionController();  // flushes and drains; joins the dispatcher
+  ~AdmissionController();  // flushes and drains; joins every slot
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -86,8 +93,8 @@ class AdmissionController {
   // future loses the only handle on the response, hence [[nodiscard]].
   [[nodiscard]] std::future<QueryResponse> Submit(QueryRequest request);
 
-  // Closes every open window now and hands it to the dispatcher. Does not
-  // wait for execution; wait on the returned futures for that.
+  // Closes every open window now and hands it to the dispatch slots. Does
+  // not wait for execution; wait on the returned futures for that.
   void Flush();
 
   Stats stats() const;
@@ -109,7 +116,7 @@ class AdmissionController {
     uint64_t id = 0;
     // Set by CloseWindowLocked when the close is charged to a Stats
     // counter; a window whose close was already accounted is never counted
-    // again (the Flush()-vs-dispatcher double-count fix).
+    // again (the Flush()-vs-slot double-count fix).
     bool close_accounted = false;
     std::vector<Pending> pending;
     WallTimer age;  // since first submission
@@ -131,9 +138,14 @@ class AdmissionController {
   // True when admission_max_queue is set and the queue is at it.
   bool QueueFullLocked() const SPECQP_REQUIRES(mu_);
 
-  void DispatcherLoop();
+  // The loop every dispatch slot runs until shutdown has drained both
+  // queues.
+  void SlotLoop();
+  // The open window opened first (lowest id), or open_.end().
+  std::map<WindowKey, Window>::iterator OldestOpenLocked()
+      SPECQP_REQUIRES(mu_);
   // Serves one closed window through Engine::ServeWindow and fulfills its
-  // promises. Runs on the dispatcher thread only.
+  // promises. Runs on a dispatch slot, without mu_ held.
   void DispatchWindow(WindowKey key, Window window);
 
   Engine* engine_;
@@ -142,8 +154,8 @@ class AdmissionController {
   CondVar cv_;
   // Accumulating windows.
   std::map<WindowKey, Window> open_ SPECQP_GUARDED_BY(mu_);
-  // Closed windows awaiting dispatch.
-  std::vector<std::pair<WindowKey, Window>> closed_ SPECQP_GUARDED_BY(mu_);
+  // Closed windows awaiting a free slot, in close order.
+  std::deque<std::pair<WindowKey, Window>> closed_ SPECQP_GUARDED_BY(mu_);
   // Admitted requests not yet fulfilled (queued or in dispatch); the
   // depth admission_max_queue sheds against.
   size_t queued_ SPECQP_GUARDED_BY(mu_) = 0;
@@ -151,7 +163,8 @@ class AdmissionController {
   bool stop_ SPECQP_GUARDED_BY(mu_) = false;
   Stats stats_ SPECQP_GUARDED_BY(mu_);
 
-  std::thread dispatcher_;
+  // The dispatch slots, Engine::num_threads() of them.
+  std::vector<std::thread> slots_;
 };
 
 }  // namespace specqp

@@ -226,6 +226,9 @@ std::vector<QueryResponse> Engine::ServeWindow(
   // observations are censored). The records feed
   // scripts/fit_estimator_correction.py; estimated_m is post-correction, so
   // a fitted table converging to 1.0 multipliers means the loop closed.
+  // actual_m is the store's match count, which is the size of the key's
+  // list: the batch has dropped its pins by now, so asking the cache
+  // would rebuild any list evicted since, uncounted, and evict more.
   for (size_t j = 0; j < live.size(); ++j) {
     const QueryResponse& response = responses[live[j]];
     if (!response.ok()) continue;
@@ -234,8 +237,7 @@ std::vector<QueryResponse> Engine::ServeWindow(
       CalibrationPatternRecord record;
       record.signature = PatternSignature(*store_, key);
       record.estimated_m = estimator_.PatternCardinality(key);
-      record.actual_m =
-          static_cast<double>(postings_.GetUncounted(key)->size());
+      record.actual_m = static_cast<double>(store_->CountMatches(key));
       calibration_log_.RecordPattern(std::move(record));
     }
     CalibrationQueryRecord summary;

@@ -57,8 +57,9 @@ struct EngineOptions {
   // Grid resolution for the kExactGrid estimator.
   double grid_delta = 1.0 / 512.0;
   // Execution concurrency (partitioned rank joins): 0 = $SPECQP_THREADS
-  // (default 1), 1 = serial, N > 1 = N-way. Answers are identical at any
-  // setting; only throughput changes.
+  // (default 1), 1 = serial, N > 1 = N-way. It is also the number of
+  // admission dispatch slots, i.e. of windows served at once. Answers are
+  // identical at any setting; only throughput changes.
   int num_threads = 0;
   // Posting-list cache budget in bytes (approximate, LRU-evicted);
   // 0 = unbounded.
@@ -70,12 +71,15 @@ struct EngineOptions {
   // Minimum total posting entries across a query's patterns before the
   // executor builds a partitioned parallel tree.
   size_t parallel_min_rows = 1024;
-  // Streaming admission (Engine::Submit): an open batch window is
-  // dispatched once it holds this many requests or once its oldest request
-  // has waited this long, whichever happens first. max_batch <= 1 turns
-  // cross-request batching off (every Submit dispatches alone).
+  // Streaming admission (Engine::Submit): an open batch window closes once
+  // it holds admission_max_batch requests; max_batch <= 1 turns
+  // cross-request batching off (every Submit dispatches alone). Otherwise
+  // a free dispatch slot (there are num_threads of them) takes the oldest
+  // open window once it has waited admission_max_delay_ms: how long a
+  // window may wait for company while a slot is free. At the default 0 a
+  // window grows only while every slot is busy.
   size_t admission_max_batch = 16;
-  double admission_max_delay_ms = 2.0;
+  double admission_max_delay_ms = 0.0;
   // Speculative plan racing (core/speculation.h): when PLANGEN's
   // plan-level confidence falls below this threshold, the primary plan and
   // the runner-up race on the engine pool and the first usable result
@@ -141,9 +145,11 @@ struct EngineOptions {
   // requests are queued in the admission controller. 0 = never shed.
   size_t admission_max_queue = 0;
   // Deadline-aware shedding: reject a request at submit time when its
-  // deadline cannot outlast the worst-case window delay it would queue
-  // behind — the request would only be DOA'd at dispatch anyway, so shed
-  // it before it occupies queue space.
+  // deadline falls within admission_max_delay_ms of now — the request
+  // would only be DOA'd at dispatch anyway, so shed it before it occupies
+  // queue space. It compares against the configured delay only, not the
+  // time a window may wait for a busy slot; at the default delay of 0 it
+  // sheds nothing the dead-on-arrival check does not already reject.
   bool admission_deadline_shed = false;
   // The retry-after hint attached to queue-full rejections.
   double admission_retry_after_ms = 5.0;
@@ -161,10 +167,11 @@ struct EngineOptions {
 //
 // Every entry point is safe to call from any number of threads. Submit
 // serves each request through one window step: windowed requests
-// accumulate into batch windows (close on max-size or max-delay,
-// EngineOptions::admission_*) that a dispatcher thread serves, so online
-// traffic gets the shared-scan amortisation automatically; a kImmediate
-// request is a window of one served on the calling thread. Pre-assembled
+// accumulate into batch windows that num_threads dispatch slots serve
+// concurrently, each taking a window as soon as it is free
+// (EngineOptions::admission_*), so online traffic gets the shared-scan
+// amortisation whenever requests queue; a kImmediate request is a window
+// of one served on the calling thread. Pre-assembled
 // batches go through BatchExecutor directly (core/batch_executor.h). All
 // paths run the same private request steps and fill the same
 // QueryResponse; the planning memos they share are locked.
@@ -219,7 +226,9 @@ class Engine {
   // (parse error, k == 0, and an already-cancelled token all complete the
   // future immediately with the terminal status), and queued into the
   // admission window for its (k, strategy); the future completes once the
-  // window has been served. With QueryRequest::Admission::kImmediate the
+  // window has been served. Up to num_threads windows are in service at
+  // once, so the futures of different windows may complete in any order,
+  // not in submit order. With QueryRequest::Admission::kImmediate the
   // request is served on the calling thread as a window of one, and the
   // returned future is already ready. Thread-safe either way.
   std::future<QueryResponse> Submit(QueryRequest request);
@@ -264,7 +273,7 @@ class Engine {
   // --- the request steps (docs/ARCHITECTURE.md "Request lifecycle") -------
   // Every entry point composes these: Explain (Resolve, Plan), Submit
   // (Resolve, then ServeWindow — on the calling thread for kImmediate, on
-  // the admission dispatcher for kWindow) and BatchExecutor (Plan, Run).
+  // an admission dispatch slot for kWindow) and BatchExecutor (Plan, Run).
 
   // The window step: serves one window of queries (moved from) for `k`
   // and `strategy`, one response per query. Runs the preflight once;
@@ -335,7 +344,7 @@ class Engine {
   // dropped exactly once per epoch advance, CAS-guarded).
   std::atomic<uint64_t> seen_fault_epoch_{0};
 
-  // Declared last: destroyed first, so the admission dispatcher drains all
+  // Declared last: destroyed first, so the admission slots drain all
   // in-flight windows before any engine internals go away.
   std::once_flag admission_once_;
   std::unique_ptr<AdmissionController> admission_;

@@ -91,10 +91,10 @@ struct QueryRequest {
 
   // Where the request waits. kWindow (default): it joins the engine's
   // admission window for its (k, strategy) and is served with the window
-  // on the dispatcher thread (shared scans, duplicate collapsing; closes
-  // on max-size or max-delay). kImmediate: it is served at once, on the
-  // submitting thread, as a window of one. Both go through the same
-  // window step and are safe to call from any number of threads.
+  // on a dispatch slot (shared scans, duplicate collapsing; the window
+  // closes when a slot is free or at max-size). kImmediate: it is served
+  // at once, on the submitting thread, as a window of one. Both go through
+  // the same window step and are safe to call from any number of threads.
   enum class Admission { kWindow, kImmediate };
   Admission admission = Admission::kWindow;
 

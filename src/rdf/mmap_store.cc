@@ -213,9 +213,9 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   // The posting directory addresses block headers which address byte
   // ranges of the payload section. The O(blocks) geometry is pinned here
   // — gapless ascending byte ranges, full non-terminal blocks, ceilings in
-  // range and non-increasing per list — so every later header-guided skip
-  // is memory-safe; the O(entries) decode validation lives under the
-  // lazily verified kPostingBlocks section.
+  // range and non-increasing per list — so every later header read is
+  // memory-safe; the O(entries) decode validation lives under the lazily
+  // verified kPostingBlocks section.
   {
     if (dir->length < 8) return Corrupt("truncated posting directory");
     uint64_t count = 0;

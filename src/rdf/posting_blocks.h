@@ -45,8 +45,10 @@ inline constexpr size_t kPostingBlockEntries = 64;
 // One block's summary. `byte_offset`/`byte_length` locate the encoded
 // payload inside the kPostingBlocks section; `max_score` equals the
 // block's first (highest) entry score exactly; `min_id`/`max_id` are the
-// smallest and largest triple index appearing in the block (the id-range
-// summary SkipToId prunes with). `reserved` must be zero.
+// smallest and largest triple index appearing in the block. No reader
+// consults the id range; it stays a validated SQPSTOR3 field (decode and
+// open check it) so the format needs no new version. `reserved` must be
+// zero.
 struct PostingBlockHeader {
   uint64_t byte_offset;
   uint32_t byte_length;

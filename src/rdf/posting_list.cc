@@ -97,12 +97,10 @@ void BlockIterator::Materialize(size_t b) {
   if (cur_block_ == b && cur_ != nullptr) return;
   cur_ = source_->Decode(b);
   cur_block_ = b;
-  if (b >= accounted_until_) {
-    if (skipped_counter_ != nullptr) {
-      *skipped_counter_ += b - accounted_until_;
-    }
-    accounted_until_ = b + 1;
-  }
+  // Positions advance one entry at a time, so no block is passed over on
+  // the way here; only SkipAll() and the destructor charge skips.
+  SPECQP_DCHECK(b <= accounted_until_);
+  accounted_until_ = std::max(accounted_until_, b + 1);
   if (decoded_counter_ != nullptr) ++*decoded_counter_;
 }
 
@@ -133,72 +131,11 @@ void BlockIterator::Advance() {
   if (source_ == nullptr || AtEnd()) return;
   // Invariant: a mid-block position has its block materialised, so
   // PeekScore() stays exact and const. Landing on a boundary defers the
-  // decode — the next skip may discard the block whole.
+  // decode — PeekScore() answers from the header there, and a scan that
+  // stops before reading the entry leaves the block undecoded (skipped).
   if (pos_ % kPostingBlockEntries != 0) {
     Materialize(pos_ / kPostingBlockEntries);
   }
-}
-
-void BlockIterator::SkipToScoreBelow(double bound) {
-  if (source_ == nullptr) {
-    // Entries are sorted descending, so "score >= bound" is a prefix.
-    auto it = std::partition_point(
-        flat_.begin() + pos_, flat_.end(),
-        [bound](const PostingEntry& e) { return e.score >= bound; });
-    pos_ = static_cast<size_t>(it - flat_.begin());
-    return;
-  }
-  while (!AtEnd()) {
-    const size_t b = pos_ / kPostingBlockEntries;
-    const size_t off = pos_ % kPostingBlockEntries;
-    if (off == 0 && !(cur_block_ == b && cur_ != nullptr)) {
-      if (source_->header(b).max_score < bound) return;  // already below
-      // Discard block b undecoded iff the NEXT block's ceiling proves
-      // every entry of b scores >= bound: scores never ascend, so b's
-      // last entry >= header(b + 1).max_score.
-      if (b + 1 < source_->num_blocks() &&
-          source_->header(b + 1).max_score >= bound) {
-        pos_ = (b + 1) * kPostingBlockEntries;
-        continue;
-      }
-    }
-    // The boundary sits inside this block (or we start mid-block): decode
-    // and walk to it.
-    Materialize(b);
-    const size_t block_end = std::min(size_, (b + 1) * kPostingBlockEntries);
-    while (pos_ < block_end &&
-           cur_->entries[pos_ % kPostingBlockEntries].score >= bound) {
-      ++pos_;
-    }
-    if (pos_ < block_end) return;
-  }
-}
-
-bool BlockIterator::SkipToId(uint32_t target) {
-  if (source_ == nullptr) {
-    while (pos_ < size_ && flat_[pos_].triple_index != target) ++pos_;
-    return pos_ < size_;
-  }
-  while (!AtEnd()) {
-    const size_t b = pos_ / kPostingBlockEntries;
-    const size_t off = pos_ % kPostingBlockEntries;
-    if (off == 0 && !(cur_block_ == b && cur_ != nullptr)) {
-      const PostingBlockHeader& h = source_->header(b);
-      if (target < h.min_id || target > h.max_id) {
-        pos_ = std::min(size_, (b + 1) * kPostingBlockEntries);
-        continue;
-      }
-    }
-    Materialize(b);
-    const size_t block_end = std::min(size_, (b + 1) * kPostingBlockEntries);
-    while (pos_ < block_end) {
-      if (cur_->entries[pos_ % kPostingBlockEntries].triple_index == target) {
-        return true;
-      }
-      ++pos_;
-    }
-  }
-  return false;
 }
 
 void BlockIterator::SkipAll() {
@@ -235,13 +172,13 @@ PostingList BuildPostingList(const TripleStore& store, const PatternKey& key) {
   NormaliseAndSort(&list);
   // On a file-backed store (a mapped view or a bundle facade), scan-built
   // bound lists are re-encoded into blocks as well: the cache then holds
-  // the compact payload and decodes on demand, and header-guided skipping
-  // (plus the blocks_decoded/blocks_skipped accounting) covers every list
-  // the store serves, not just the pure-predicate directory views. A
-  // bundle facade has no mapped directory of its own, but its lists stay
-  // block-shaped so skipping behaves identically across backends. The
-  // codec is lossless, so iterators observe entries bit-identical to the
-  // flat build.
+  // the compact payload and decodes on demand, and the
+  // blocks_decoded/blocks_skipped accounting covers every list the store
+  // serves, not just the pure-predicate directory views. A bundle facade
+  // has no mapped directory of its own, but its lists stay block-shaped so
+  // the accounting behaves identically across backends. The codec is
+  // lossless, so iterators observe entries bit-identical to the flat
+  // build.
   if ((store.is_view() || store.is_sharded()) && !list.entries.empty()) {
     EncodedPostingBlocks encoded =
         EncodePostingBlocks(list.entries.data(), list.entries.size());

@@ -68,25 +68,21 @@ struct PostingList {
 // the store writer, partitioning, shared-scan derivation, the stats
 // catalog.
 //
-// Skipping uses the block headers and never changes which entries the
-// caller observes, only how many bytes get decoded on the way:
-//   * PeekScore() at an undecoded block boundary answers from the header's
-//     max_score, which the format guarantees is bit-equal to the block's
-//     first entry score — so bound computations (PatternScan::UpperBound)
-//     are bit-identical with and without decoding;
-//   * SkipToScoreBelow(bound) discards whole blocks whose every entry
-//     provably scores >= bound (the NEXT block's ceiling >= bound implies
-//     it, since scores only descend);
-//   * SkipToId(target) discards blocks whose [min_id, max_id] range
-//     excludes the target.
+// Blocks are decoded only when an entry in them is read, and the block
+// headers never change which entries the caller observes, only how many
+// bytes get decoded on the way: PeekScore() at an undecoded block boundary
+// answers from the header's max_score, which the format guarantees is
+// bit-equal to the block's first entry score — so bound computations
+// (PatternScan::UpperBound) are bit-identical with and without decoding.
 //
 // `decoded_counter` / `skipped_counter` (both optional) receive this
 // iterator's per-block accounting: +1 decoded per block this iterator
 // materialises (memo hits included — the counters describe the access
 // pattern, not cache state, so they are deterministic), and +1 skipped per
-// block it provably never needed, charged when the iterator is destroyed
-// or skips past them. Flat lists touch neither counter. The iterator does
-// not own the list; the caller keeps `list` (and its mapping) alive.
+// block it never needed — the tail a top-k scan leaves unread — charged by
+// SkipAll() or when the iterator is destroyed. Flat lists touch neither
+// counter. The iterator does not own the list; the caller keeps `list`
+// (and its mapping) alive.
 class BlockIterator {
  public:
   explicit BlockIterator(const PostingList* list,
@@ -135,20 +131,10 @@ class BlockIterator {
   }
 
   // Steps to the next entry. Decoding stays deferred when the step lands
-  // exactly on a block boundary (the skip primitives may then discard that
-  // block untouched).
+  // exactly on a block boundary: PeekScore() answers from the header
+  // there, so a scan that stops before reading the entry leaves the block
+  // undecoded.
   void Advance();
-
-  // Advances past every entry with score >= bound: afterwards AtEnd() or
-  // PeekScore() < bound. Whole blocks are discarded undecoded when the
-  // following block's ceiling proves them uniformly >= bound.
-  void SkipToScoreBelow(double bound);
-
-  // Advances to the first entry at or after the current position with
-  // triple_index == target, returning true; exhausts the iterator and
-  // returns false when no such entry remains. Blocks whose id range
-  // excludes `target` are discarded undecoded.
-  bool SkipToId(uint32_t target);
 
   // Exhausts the iterator, charging all unvisited blocks as skipped now
   // (operators discard provably dead inputs through this, so the charge
@@ -156,9 +142,7 @@ class BlockIterator {
   void SkipAll();
 
  private:
-  // Decodes block `b` (memoised in the source) and runs the accounting:
-  // blocks passed over since the last materialisation are charged as
-  // skipped, `b` itself as decoded.
+  // Decodes block `b` (memoised in the source) and charges it as decoded.
   void Materialize(size_t b);
 
   std::span<const PostingEntry> flat_;

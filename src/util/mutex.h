@@ -19,7 +19,7 @@ namespace specqp {
 //
 // Lock/Unlock are exposed directly — unlike std::unique_lock's
 // unlock()/lock() dance, explicit balanced calls are something the
-// analysis tracks flow-sensitively, which the dispatcher/worker loops
+// analysis tracks flow-sensitively, which the slot/worker loops
 // (admission.cc, thread_pool.cc) rely on.
 class SPECQP_CAPABILITY("mutex") Mutex {
  public:

@@ -1,9 +1,11 @@
 // Streaming admission (Engine::Submit + AdmissionController): window close
-// on max-size and max-delay, bit-identical answers to sequential Execute
-// for every bundled workload query at window sizes 1-16 across all three
-// strategies, concurrent submission from many threads, cooperative
-// cancellation (< 50 ms out of a long join) and deadlines, and the
-// duplicate-collapsing semantics when riders disagree about interruption.
+// on max-size, max-delay and a free slot, bit-identical answers to
+// sequential Execute for every bundled workload query at window sizes 1-16
+// across all three strategies, concurrent submission from many threads,
+// windows served side by side (a fast one is not held behind a slow one),
+// cooperative cancellation (< 50 ms out of a long join) and deadlines, the
+// duplicate-collapsing semantics when riders disagree about interruption,
+// and a window step that builds no posting list after its batch.
 
 #include <algorithm>
 #include <atomic>
@@ -21,7 +23,9 @@
 #include "datasets/twitter_generator.h"
 #include "datasets/workload.h"
 #include "datasets/xkg_generator.h"
+#include "rdf/posting_list.h"
 #include "test_util.h"
+#include "util/fault_injector.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -112,12 +116,13 @@ TEST(AdmissionTest, AlreadyCancelledTokenAtSubmitTime) {
 TEST(AdmissionTest, SingleQueryWindowClosesOnMaxDelayBitIdentical) {
   MusicFixture fx = MakeMusicFixture();
   Engine reference(&fx.store, &fx.rules);
-  Engine engine(&fx.store, &fx.rules);  // default window: 16 / 2 ms
+  Engine engine(&fx.store, &fx.rules);  // default window: 16 / 0 ms
   const Query query = fx.TypeQuery({"singer", "lyricist"});
   const QueryResponse expected =
       testing::Execute(reference, query, 5, Strategy::kSpecQp);
 
-  // One submission, no flush: only the max-delay close can dispatch it.
+  // One submission, no flush: a free slot closes it once its age reaches
+  // the (zero) delay.
   const QueryResponse response =
       engine.Submit(QueryRequest::FromQuery(query, 5)).get();
   ASSERT_TRUE(response.ok()) << response.status.ToString();
@@ -388,10 +393,9 @@ TEST(AdmissionTest, CloseReasonCountersSumToWindowsDispatched) {
 }
 
 // Same invariant under delay closes and the shutdown drain: short-delay
-// windows close on the dispatcher's scan; a window submitted right before
-// destruction is drained (charged as a flush close) by the dispatcher's
-// shutdown path. The counters are read after the engine (and with it the
-// controller's dispatcher thread) has fully drained.
+// windows close when a free slot finds them due; a window submitted right
+// before destruction is drained by the slots' shutdown path. The counters
+// are read once every window has been served.
 TEST(AdmissionTest, CloseAccountingSurvivesDelayAndShutdownDrain) {
   MusicFixture fx = MakeMusicFixture();
   const Query query = fx.TypeQuery({"singer", "lyricist"});
@@ -414,7 +418,8 @@ TEST(AdmissionTest, CloseAccountingSurvivesDelayAndShutdownDrain) {
     // Not yet drained: the invariant below is only claimed after shutdown;
     // here the third window may still be open.
     ASSERT_TRUE(third.valid());
-    // Engine destruction joins the dispatcher, which drains window 3.
+    // A slot serves window 3 once it is due (engine destruction would
+    // drain it too).
     const QueryResponse last = third.get();
     ASSERT_TRUE(last.ok()) << last.status.ToString();
     stats = engine.admission().stats();
@@ -425,6 +430,160 @@ TEST(AdmissionTest, CloseAccountingSurvivesDelayAndShutdownDrain) {
                 stats.closed_on_flush)
       << "drained controller: close reasons must partition the windows";
   EXPECT_GE(stats.closed_on_delay, 1u);
+}
+
+// Admission is work-conserving: a window is served as soon as a slot is
+// free, and a second slot serves the next window while the first is still
+// busy. A single dispatcher would hold the fast query below until the
+// slow join finished.
+TEST(AdmissionTest, FastWindowIsNotHeldBehindSlowOne) {
+  SlowJoinFixture slow(200000);
+  EngineOptions options;
+  options.num_threads = 2;
+  options.admission_max_batch = 1;  // every request is a window of its own
+  Engine engine(&slow.store, &slow.rules, options);
+  // Warm the lists and statistics so that the join is what runs long.
+  engine.Warm(slow.query);
+
+  Query fast;
+  const VarId o = fast.GetOrAddVariable("o");
+  fast.AddPattern(TriplePattern(PatternTerm::Const(slow.store.MustId("s0")),
+                                PatternTerm::Const(slow.store.MustId("p0")),
+                                PatternTerm::Var(o)));
+  fast.AddProjection(o);
+  Engine reference(&slow.store, &slow.rules);
+  const QueryResponse expected =
+      testing::Execute(reference, fast, 1, Strategy::kSpecQp);
+
+  CancellationToken token = CancellationToken::Create();
+  QueryRequest slow_request = QueryRequest::FromQuery(slow.query, 10);
+  slow_request.cancel = token;
+  std::future<QueryResponse> slow_future =
+      engine.Submit(std::move(slow_request));
+  std::future<QueryResponse> fast_future =
+      engine.Submit(QueryRequest::FromQuery(fast, 1));
+
+  const bool fast_ready = fast_future.wait_for(std::chrono::seconds(30)) ==
+                          std::future_status::ready;
+  const bool slow_running = slow_future.wait_for(std::chrono::seconds(0)) !=
+                            std::future_status::ready;
+  token.RequestCancel();
+  ASSERT_TRUE(fast_ready);
+  EXPECT_TRUE(slow_running) << "the fast window waited for the slow one";
+  const QueryResponse fast_response = fast_future.get();
+  ASSERT_TRUE(fast_response.ok()) << fast_response.status.ToString();
+  ExpectSameRows(expected.rows, fast_response.rows, "fast window");
+  const QueryResponse slow_response = slow_future.get();
+  if (slow_running) {
+    EXPECT_EQ(slow_response.status.code(), StatusCode::kCancelled);
+  }
+  const AdmissionController::Stats stats = engine.admission().stats();
+  EXPECT_EQ(stats.windows_dispatched, 2u);
+  EXPECT_EQ(stats.closed_on_size, 2u);
+}
+
+// On an idle engine a lone windowed request is dispatched at once: the
+// default delay is 0 and a slot is free, so admission_ms is a wake-up, not
+// a wait. The best of a few attempts rules out a single slow wake-up.
+TEST(AdmissionTest, IdleEngineDispatchesLoneRequestAtOnce) {
+  MusicFixture fx = MakeMusicFixture();
+  Engine engine(&fx.store, &fx.rules);
+  const Query query = fx.TypeQuery({"singer", "lyricist"});
+  double best_admission_ms = 1e9;
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    const QueryResponse response =
+        engine.Submit(QueryRequest::FromQuery(query, 5)).get();
+    ASSERT_TRUE(response.ok()) << response.status.ToString();
+    EXPECT_EQ(response.window_size, 1u);
+    best_admission_ms = std::min(best_admission_ms, response.admission_ms);
+  }
+  EXPECT_LT(best_admission_ms, 1.0);
+}
+
+// The window step's calibration loop reads each pattern's match count from
+// the store, not from the posting cache: the batch has dropped its pins by
+// then, so on a budgeted cache a list may have been evicted, and asking
+// the cache would rebuild it uncounted (and evict more with its insert).
+// Two patterns in one cache shard on a 1-byte budget force that eviction.
+// The windowed request must insert no more lists than the same query run
+// as a batch directly. An armed "cache.alloc" site with probability 0
+// never fires but counts every insert.
+TEST(AdmissionTest, WindowStepBuildsNoListAfterItsBatch) {
+  TripleStore store;
+  Dictionary& dict = store.dict();
+  const TermId x = dict.Intern("x");
+  std::vector<TermId> predicates;
+  for (int p = 0; p < 16; ++p) {
+    predicates.push_back(dict.Intern(StrFormat("p%d", p)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    const TermId s = dict.Intern(StrFormat("s%d", i));
+    for (const TermId p : predicates) {
+      store.AddEncoded(s, p, x, 1.0 / (1.0 + i + p));
+    }
+  }
+  store.Finalize();
+  RelaxationIndex rules;  // empty: the query touches its own two lists
+
+  // Two predicates whose (?s p x) keys share a cache shard.
+  const auto shard_of = [&](TermId p) {
+    return PatternKeyHash{}(PatternKey{kInvalidTermId, p, x}) %
+           PostingListCache::kNumShards;
+  };
+  TermId first = kInvalidTermId;
+  TermId second = kInvalidTermId;
+  for (size_t a = 0; a < predicates.size() && second == kInvalidTermId; ++a) {
+    for (size_t b = a + 1; b < predicates.size(); ++b) {
+      if (shard_of(predicates[a]) == shard_of(predicates[b])) {
+        first = predicates[a];
+        second = predicates[b];
+        break;
+      }
+    }
+  }
+  ASSERT_NE(second, kInvalidTermId);
+  Query query;
+  const VarId s = query.GetOrAddVariable("s");
+  for (const TermId p : {first, second}) {
+    query.AddPattern(TriplePattern(PatternTerm::Var(s), PatternTerm::Const(p),
+                                   PatternTerm::Const(x)));
+  }
+  query.AddProjection(s);
+
+  struct DisarmOnExit {
+    ~DisarmOnExit() { FaultInjector::Global().Disarm(); }
+  } disarm;
+  FaultInjector& injector = FaultInjector::Global();
+  ASSERT_TRUE(injector.Configure("cache.alloc=0").ok());
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_budget_bytes = 1;
+
+  Engine direct(&store, &rules, options);
+  injector.ResetCounters();
+  const std::vector<QueryResponse> batch =
+      testing::ExecuteBatch(direct, {&query, 1}, 5, Strategy::kSpecQp);
+  const uint64_t batch_inserts = injector.ProbeCount("cache.alloc");
+
+  Engine windowed(&store, &rules, options);
+  injector.ResetCounters();
+  const QueryResponse response =
+      windowed.Submit(QueryRequest::FromQuery(query, 5)).get();
+  const uint64_t window_inserts = injector.ProbeCount("cache.alloc");
+
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  ExpectSameRows(batch[0].rows, response.rows, "windowed vs batch");
+  EXPECT_GE(batch_inserts, 2u);
+  EXPECT_LE(window_inserts, batch_inserts)
+      << "the window step rebuilt lists after its batch";
+  // The calibration records still carry each pattern's true list size.
+  const std::vector<CalibrationPatternRecord> records =
+      windowed.calibration_log().PatternRecords();
+  ASSERT_EQ(records.size(), 2u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].actual_m,
+              static_cast<double>(store.CountMatches(query.pattern(i).Key())));
+  }
 }
 
 // The acceptance sweep: every bundled workload query (66 XKG + 50 Twitter

@@ -4,9 +4,12 @@
 // re-planning forced on. Every request plans against the same statistics
 // catalog and selectivity memos; they are locked, and everything else a
 // request touches is local to it. So every answer, plan and PLANGEN
-// diagnostic must be bit-identical to a serial engine's. Under the tsan
-// preset this is the data-race gate for that sharing.
+// diagnostic must be bit-identical to a serial engine's. A second test
+// keeps several multi-query windows in service at once on an 8-shard
+// bundle whose cache evicts. Under the tsan preset this is the data-race
+// gate for that sharing.
 
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -20,6 +23,8 @@
 #include "datasets/twitter_generator.h"
 #include "datasets/workload.h"
 #include "datasets/xkg_generator.h"
+#include "rdf/sharded_store.h"
+#include "rdf/store_io.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -206,6 +211,110 @@ TEST(ConcurrentServingTest, MixedEntryPointsMatchSerialReference) {
     }
   }
   EXPECT_GT(executed, 0u);
+}
+
+// Several multi-query windows in service at once: four dispatch slots on
+// an 8-shard bundle whose posting cache holds about half its working set,
+// fed by clients that submit windowed bursts without waiting. While every
+// slot is busy the bursts pile up into windows of several queries, so
+// eviction, shared-scan derivation and per-shard scatter-gather run in
+// concurrent windows. Every answer must match a serial in-memory engine's.
+TEST(ConcurrentServingTest, ConcurrentWindowsOnEvictingBundleMatchSerial) {
+  XkgConfig xkg_config;
+  xkg_config.num_entities = 6000;
+  xkg_config.num_domains = 8;
+  const XkgDataset xkg = GenerateXkg(xkg_config);
+  XkgWorkloadConfig xkg_workload;
+  xkg_workload.min_relaxations = 8;
+  const std::vector<Query> queries = MakeXkgWorkload(xkg, xkg_workload);
+  ASSERT_EQ(queries.size(), 66u);
+
+  const std::string bundle = ::testing::TempDir() + "/concurrent_windows";
+  std::filesystem::remove_all(bundle);
+  ShardBundleOptions bundle_options;
+  bundle_options.shard_count = 8;
+  ASSERT_TRUE(WriteShardBundle(xkg.store, bundle, bundle_options).ok());
+
+  // The working set: what one pass over the workload leaves resident in
+  // an unbounded cache.
+  EngineOptions options;
+  options.num_threads = 4;
+  size_t working_set = 0;
+  {
+    auto opened = Engine::OpenFromPath(bundle, &xkg.rules, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (const Query& query : queries) {
+      (void)testing::Execute(*opened.value().engine, query, 10,
+                             Strategy::kSpecQp);
+    }
+    working_set = opened.value().engine->postings().bytes();
+  }
+  ASSERT_GT(working_set, 0u);
+  options.cache_budget_bytes = working_set / 2;
+  auto opened = Engine::OpenFromPath(bundle, &xkg.rules, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Engine& engine = *opened.value().engine;
+
+  constexpr int kClients = 4;
+#if defined(SPECQP_SANITIZED_BUILD)
+  constexpr int kBursts = 2;
+#else
+  constexpr int kBursts = 6;
+#endif
+  constexpr int kBurst = 12;
+  struct Submitted {
+    size_t query = 0;
+    Strategy strategy = Strategy::kSpecQp;
+    size_t k = 10;
+    std::future<QueryResponse> future;
+  };
+  std::vector<std::vector<Submitted>> submitted(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(2000 + static_cast<uint64_t>(t));
+      for (int burst = 0; burst < kBursts; ++burst) {
+        for (int i = 0; i < kBurst; ++i) {
+          Submitted one;
+          one.query = rng.NextBounded(queries.size());
+          one.strategy = rng.NextBounded(2) == 0 ? Strategy::kSpecQp
+                                                 : Strategy::kTrinit;
+          one.k = kKs[rng.NextBounded(2)];
+          one.future = engine.Submit(
+              QueryRequest::FromQuery(queries[one.query], one.k,
+                                      one.strategy));
+          submitted[t].push_back(std::move(one));
+        }
+        // The next burst follows once this one's oldest answer is back,
+        // so windows keep forming behind busy slots.
+        submitted[t][static_cast<size_t>(burst) * kBurst].future.wait();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  EngineOptions serial_options;
+  serial_options.num_threads = 1;
+  Engine serial(&xkg.store, &xkg.rules, serial_options);
+  for (int t = 0; t < kClients; ++t) {
+    for (size_t i = 0; i < submitted[t].size(); ++i) {
+      Submitted& one = submitted[t][i];
+      const std::string label =
+          StrFormat("client %d request %zu: q%zu %s k=%zu", t, i, one.query,
+                    std::string(StrategyName(one.strategy)).c_str(), one.k);
+      const QueryResponse response = one.future.get();
+      ASSERT_TRUE(response.ok()) << label << ": "
+                                 << response.status.ToString();
+      ExpectSameRows(testing::Execute(serial, queries[one.query], one.k,
+                                      one.strategy),
+                     response, label);
+    }
+  }
+  const AdmissionController::Stats stats = engine.admission().stats();
+  EXPECT_EQ(stats.submitted,
+            static_cast<uint64_t>(kClients) * kBursts * kBurst);
+  EXPECT_GT(stats.max_window_size, 1u) << "no multi-query window formed";
+  EXPECT_GT(engine.postings().evictions(), 0u);
 }
 
 }  // namespace

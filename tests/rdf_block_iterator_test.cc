@@ -1,7 +1,7 @@
-// BlockIterator over block-compressed posting lists: every traversal and
-// skip must observe exactly the entries a flat scan observes (the codec is
-// lossless, the headers are exact summaries), and the cache must be able
-// to release decoded blocks without invalidating live readers.
+// BlockIterator over block-compressed posting lists: every traversal must
+// observe exactly the entries a flat scan observes (the codec is lossless,
+// the headers are exact summaries), and the cache must be able to release
+// decoded blocks without invalidating live readers.
 
 #include "rdf/posting_list.h"
 
@@ -26,7 +26,7 @@ std::string TempPath(const char* name) {
 }
 
 // Synthetic posting entries: descending normalised scores with tie runs
-// (ties cost one payload byte and exercise the boundary-equal skip case),
+// (ties cost one payload byte and put equal scores on block boundaries),
 // ids drawn from [0, id_limit).
 std::vector<PostingEntry> MakeEntries(Rng* rng, size_t count,
                                       uint32_t id_limit) {
@@ -119,90 +119,6 @@ TEST(BlockIteratorTest, RoundTripsOverRandomMappedStores) {
         EXPECT_EQ(entry.triple_index, flat.entries[i].triple_index);
         EXPECT_EQ(entry.score, flat.entries[i].score);  // bitwise
       }
-      EXPECT_TRUE(iter.AtEnd());
-    }
-  }
-}
-
-TEST(BlockIteratorTest, SkipToScoreBelowMatchesFlatScan) {
-  Rng rng(55);
-  const uint32_t id_limit = 50000;
-  const std::vector<PostingEntry> entries = MakeEntries(&rng, 500, id_limit);
-  const PostingList list = BlockListOf(entries, id_limit);
-  const size_t num_blocks = list.blocks->num_blocks();
-  ASSERT_GE(num_blocks, 3u);
-
-  // Sweep bounds over every block ceiling (the boundary-equal case), every
-  // boundary score nudged up (lands exactly on a block boundary), and a
-  // few interior scores. The landing position must equal the flat scan's.
-  std::vector<double> bounds = {2.0, 1.0, 0.0, -1.0};
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const double ceiling = list.blocks->header(b).max_score;
-    bounds.push_back(ceiling);
-    bounds.push_back(ceiling * 1.0000001);
-  }
-  for (size_t i = 0; i < entries.size(); i += 37) {
-    bounds.push_back(entries[i].score);
-  }
-
-  for (const double bound : bounds) {
-    size_t expected = 0;
-    while (expected < entries.size() && entries[expected].score >= bound) {
-      ++expected;
-    }
-    uint64_t decoded = 0;
-    uint64_t skipped = 0;
-    {
-      BlockIterator iter(&list, &decoded, &skipped);
-      iter.SkipToScoreBelow(bound);
-      EXPECT_EQ(iter.position(), expected) << "bound " << bound;
-      if (expected < entries.size()) {
-        ASSERT_FALSE(iter.AtEnd());
-        EXPECT_EQ(iter.PeekScore(), entries[expected].score);
-        EXPECT_EQ(iter.Entry().triple_index, entries[expected].triple_index);
-      } else {
-        EXPECT_TRUE(iter.AtEnd());
-      }
-    }
-    // Every block is accounted exactly once, as decoded or as skipped.
-    EXPECT_EQ(decoded + skipped, num_blocks) << "bound " << bound;
-  }
-
-  // A bound below the last block's ceiling provably skips whole blocks
-  // without decoding them.
-  uint64_t decoded = 0;
-  uint64_t skipped = 0;
-  {
-    BlockIterator iter(&list, &decoded, &skipped);
-    iter.SkipToScoreBelow(list.blocks->header(num_blocks - 1).max_score);
-  }
-  EXPECT_GT(skipped, 0u);
-  EXPECT_LT(decoded, num_blocks);
-}
-
-TEST(BlockIteratorTest, SkipToIdMatchesFlatScan) {
-  Rng rng(56);
-  const uint32_t id_limit = 600;  // small id space => plenty of hits
-  const std::vector<PostingEntry> entries = MakeEntries(&rng, 400, id_limit);
-  const PostingList list = BlockListOf(entries, id_limit);
-
-  for (uint32_t target = 0; target < id_limit; target += 7) {
-    size_t expected = entries.size();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].triple_index == target) {
-        expected = i;
-        break;
-      }
-    }
-    BlockIterator iter(&list);
-    const bool found = iter.SkipToId(target);
-    if (expected < entries.size()) {
-      ASSERT_TRUE(found) << "target " << target;
-      EXPECT_EQ(iter.position(), expected);
-      EXPECT_EQ(iter.Entry().triple_index, target);
-      EXPECT_EQ(iter.Entry().score, entries[expected].score);
-    } else {
-      EXPECT_FALSE(found) << "target " << target;
       EXPECT_TRUE(iter.AtEnd());
     }
   }
