@@ -70,7 +70,7 @@ Engine::Engine(const TripleStore* store, const RelaxationIndex* rules,
       planner_(&estimator_, rules),
       executor_(store, &postings_, rules,
                 PlanExecutor::Options{options.parallel_min_rows}),
-      speculative_(&executor_, &postings_, rules, &estimator_),
+      speculative_(&executor_, store, rules, &estimator_),
       calibration_log_(options.calibration_log_capacity) {
   SPECQP_CHECK(store_ != nullptr && rules_ != nullptr);
   SPECQP_CHECK(store_->finalized()) << "Engine requires a finalized store";
@@ -334,16 +334,17 @@ Status Engine::PreflightServing(QueryResponse* response,
   source->PollFaults();
   const uint64_t epoch = source->FaultEpoch();
   if (epoch_out != nullptr) *epoch_out = epoch;
-  // Posting lists and statistics built against a retired shard set
-  // describe answers the store can no longer produce; drop them exactly
-  // once per epoch advance (CAS-guarded — concurrent preflights race to
-  // reconcile, only the winner clears).
+  // Posting lists, statistics and join counts computed against a retired
+  // shard set describe answers the store can no longer produce; drop them
+  // exactly once per epoch advance (CAS-guarded — concurrent preflights
+  // race to reconcile, only the winner clears).
   uint64_t seen = seen_fault_epoch_.load(std::memory_order_acquire);
   while (seen < epoch) {
     if (seen_fault_epoch_.compare_exchange_weak(seen, epoch,
                                                 std::memory_order_acq_rel)) {
       postings_.Clear();
       catalog_.Clear();
+      selectivity_.Clear();
       break;
     }
   }

@@ -306,8 +306,9 @@ class Engine {
 
   // --- fault-tolerant serving (docs/ARCHITECTURE.md "Failure model") ------
   // Run before execution: sweeps latched mapping faults on a sharded
-  // backend, drops engine caches built against a shard set that no longer
-  // serves (once per fault-epoch advance), fills the response's
+  // backend, drops the posting cache, the statistics catalog and the
+  // selectivity memos built against a shard set that no longer serves
+  // (once per fault-epoch advance), fills the response's
   // shards_failed/shards_total ledger, and decides whether this engine may
   // answer right now — Ok (fully serving), Ok with response->partial set
   // (degraded_reads and some shards out), or kUnavailable (strict mode

@@ -76,7 +76,7 @@ void FoldInto(Unit* acc, std::vector<Unit>* units, ExecContext* ctx) {
 // keeps the v-binding of the partitioned side). Piece sets are memoised in
 // the PostingListCache, so repeated executions of a query re-use them; the
 // per-Build `memo` (shared across this Build's partition trees) keeps the
-// cache's shard lock out of the hot per-partition loop.
+// cache's lock out of the hot per-partition loop.
 struct PlanExecutor::PartitionView {
   using PieceMemo =
       std::map<std::tuple<TermId, TermId, TermId, int>,
@@ -154,9 +154,9 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
     if (partition_var != kInvalidVarId) {
       size_t total_rows = 0;
       for (const TriplePattern& q : query.patterns()) {
-        // Uncounted: a sizing probe, not a real access — make_scan fetches
-        // (and counts) the same lists moments later.
-        total_rows += postings_->GetUncounted(q.Key())->size();
+        // A list holds exactly its key's matches, so the store sizes it
+        // without building it.
+        total_rows += store_->CountMatches(q.Key());
       }
       if (total_rows >= options_.parallel_min_rows) {
         num_partitions = static_cast<uint32_t>(ctx->num_threads());

@@ -27,14 +27,14 @@ double MillisBetween(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 SpeculativeExecutor::SpeculativeExecutor(PlanExecutor* executor,
-                                         PostingListCache* postings,
+                                         const TripleStore* store,
                                          const RelaxationIndex* rules,
                                          ExpectedScoreEstimator* estimator)
     : executor_(executor),
-      postings_(postings),
+      store_(store),
       rules_(rules),
       estimator_(estimator) {
-  SPECQP_CHECK(executor_ != nullptr && postings_ != nullptr &&
+  SPECQP_CHECK(executor_ != nullptr && store_ != nullptr &&
                rules_ != nullptr && estimator_ != nullptr);
 }
 
@@ -47,7 +47,7 @@ double SpeculativeExecutor::CertificateBound(const Query& query,
   // cap anything.
   double cap = 0.0;
   for (const RelaxationRule& rule : rules_->RulesFor(key)) {
-    if (postings_->GetUncounted(rule.to)->size() > 0) {
+    if (store_->CountMatches(rule.to) > 0) {
       cap = std::max(cap, rule.weight);
     }
   }
@@ -55,8 +55,7 @@ double SpeculativeExecutor::CertificateBound(const Query& query,
     const PatternKey hop1{kInvalidTermId, rule.hop1_predicate, kInvalidTermId};
     const PatternKey hop2{kInvalidTermId, rule.hop2_predicate,
                           rule.hop2_object};
-    if (postings_->GetUncounted(hop1)->size() > 0 &&
-        postings_->GetUncounted(hop2)->size() > 0) {
+    if (store_->CountMatches(hop1) > 0 && store_->CountMatches(hop2) > 0) {
       cap = std::max(cap, rule.weight);
     }
   }
@@ -70,9 +69,7 @@ double SpeculativeExecutor::CertificateBound(const Query& query,
 QueryPlan SpeculativeExecutor::ReorderByActualSize(
     const Query& query, const QueryPlan& plan) const {
   const auto size_of = [&](size_t i) {
-    // Uncounted: a sizing probe over lists the aborted first attempt
-    // already materialised.
-    return postings_->GetUncounted(query.pattern(i).Key())->size();
+    return store_->CountMatches(query.pattern(i).Key());
   };
   QueryPlan out = plan;
   const auto by_size = [&](size_t a, size_t b) {

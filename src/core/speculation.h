@@ -10,7 +10,7 @@
 #include "core/plan_executor.h"
 #include "core/query_plan.h"
 #include "query/query.h"
-#include "rdf/posting_list.h"
+#include "rdf/triple_store.h"
 #include "relax/relaxation_index.h"
 #include "topk/exec_context.h"
 #include "topk/exec_stats.h"
@@ -72,7 +72,7 @@ struct AdaptivePolicy {
 // statistics catalog) plus their private contexts.
 class SpeculativeExecutor {
  public:
-  SpeculativeExecutor(PlanExecutor* executor, PostingListCache* postings,
+  SpeculativeExecutor(PlanExecutor* executor, const TripleStore* store,
                       const RelaxationIndex* rules,
                       ExpectedScoreEstimator* estimator);
 
@@ -88,7 +88,9 @@ class SpeculativeExecutor {
   double CertificateBound(const Query& query, size_t pattern_index) const;
 
   // `plan` re-ordered so each phase folds its smallest actual posting list
-  // first (stable: ties keep plan order). The re-plan target.
+  // first (stable: ties keep plan order). The re-plan target. Both this
+  // and CertificateBound size lists by the store's match counts: a list
+  // holds exactly its key's matches, so none is built just to be measured.
   QueryPlan ReorderByActualSize(const Query& query,
                                 const QueryPlan& plan) const;
 
@@ -128,7 +130,7 @@ class SpeculativeExecutor {
                       const PlanExecutor::LeafHandle& leaf) const;
 
   PlanExecutor* executor_;
-  PostingListCache* postings_;
+  const TripleStore* store_;
   const RelaxationIndex* rules_;
   ExpectedScoreEstimator* estimator_;
 };

@@ -14,9 +14,8 @@ namespace specqp {
 // process, taking every healthy shard down with the broken one.
 //
 // The containment strategy here deliberately avoids longjmp-style frame
-// unwinding: posting lists are built under the PostingListCache shard
-// mutex and block decode holds the PostingBlockSource memo mutex, so
-// jumping out of the faulting frame would abandon locks. Instead the
+// unwinding: block decode holds the PostingBlockSource memo mutex, so
+// jumping out of the faulting frame would abandon a lock. Instead the
 // handler *repairs the page in place*:
 //
 //   1. Each MmapStore registers its mapping in a fixed-size, lock-free

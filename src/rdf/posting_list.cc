@@ -230,201 +230,172 @@ double PostingListCache::RebuildCost(size_t num_entries) {
   return n * (std::log2(n + 1.0) + 1.0);
 }
 
-PostingListCache::Shard& PostingListCache::ShardFor(const PatternKey& key) {
-  return shards_[PatternKeyHash{}(key) % kNumShards];
+size_t PostingListCache::BytesOf(const Lists& lists) {
+  size_t bytes = 0;
+  for (const auto& list : lists) bytes += ApproxBytes(*list);
+  return bytes;
 }
 
-void PostingListCache::SyncBlockBytes(Shard& shard) {
-  for (auto& [key, entry] : shard.map) {
-    if (!entry.list->blocked()) continue;
-    const size_t now = ApproxBytes(*entry.list);
-    if (now == entry.bytes) continue;
-    shard.bytes += now;
-    shard.bytes -= entry.bytes;
-    entry.bytes = now;
-  }
+double PostingListCache::RebuildCostOf(const Lists& lists) {
+  size_t entries = 0;
+  for (const auto& list : lists) entries += list->size();
+  return RebuildCost(entries);
 }
 
-void PostingListCache::EvictIfOver(Shard& shard, const PatternKey& keep,
-                                   const PartitionKey* keep_parts) {
-  if (budget_bytes_ == 0) return;
-  // Decoded-block memos grow outside the shard lock while operators
-  // iterate, so the accounting is refreshed before any budget decision.
-  SyncBlockBytes(shard);
-  const size_t shard_budget = budget_bytes_ / kNumShards;
-
-  // Block-granular pass first: releasing a decoded-block memo frees real
-  // bytes without evicting the (cheap) header view, and is safe even for
-  // pinned or just-requested lists — live iterators hold their current
-  // block via shared_ptr, later touches simply decode again. LRU order so
-  // hot lists keep their working set longest.
-  if (shard.bytes > shard_budget) {
-    std::vector<Entry*> blocked;
-    for (auto& [key, entry] : shard.map) {
-      if (entry.list->blocked() && entry.list->blocks->decoded_bytes() > 0) {
-        blocked.push_back(&entry);
-      }
-    }
-    std::sort(blocked.begin(), blocked.end(), [](const Entry* a,
-                                                 const Entry* b) {
-      return a->last_used < b->last_used;
-    });
-    for (Entry* entry : blocked) {
-      if (shard.bytes <= shard_budget) break;
-      const size_t released = entry->list->blocks->ReleaseDecodedBlocks();
-      if (released == 0) continue;
-      shard.bytes -= std::min(shard.bytes, released);
-      entry->bytes -= std::min(entry->bytes, released);
-      ++shard.evictions;
-    }
-  }
-  // Victim ordering: cost-aware compares GreedyDual priorities (rebuild
-  // cost on top of the shard's inflation floor), plain LRU compares last
-  // use; ties break towards the older entry either way so eviction stays
-  // deterministic.
-  const auto before = [this](uint64_t last_a, double prio_a, uint64_t last_b,
-                             double prio_b) {
-    if (cost_aware_ && prio_a != prio_b) return prio_a < prio_b;
-    return last_a < last_b;
-  };
-  while (shard.bytes > shard_budget) {
-    // Scan evictable lists and partition-piece sets: never the
-    // just-requested one, and never pinned entries (use_count > 1 means a
-    // live operator tree still reads it; evicting would not free the
-    // memory anyway).
-    auto list_victim = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->first == keep) continue;
-      if (it->second.list.use_count() > 1) continue;
-      if (list_victim == shard.map.end() ||
-          before(it->second.last_used, it->second.priority,
-                 list_victim->second.last_used,
-                 list_victim->second.priority)) {
-        list_victim = it;
-      }
-    }
-    auto parts_victim = shard.partitions.end();
-    for (auto it = shard.partitions.begin(); it != shard.partitions.end();
-         ++it) {
-      if (keep_parts != nullptr && it->first == *keep_parts) continue;
-      bool pinned = false;
-      for (const auto& piece : it->second.pieces) {
-        if (piece.use_count() > 1) {
-          pinned = true;
-          break;
-        }
-      }
-      if (pinned) continue;
-      if (parts_victim == shard.partitions.end() ||
-          before(it->second.last_used, it->second.priority,
-                 parts_victim->second.last_used,
-                 parts_victim->second.priority)) {
-        parts_victim = it;
-      }
-    }
-
-    const bool have_list = list_victim != shard.map.end();
-    const bool have_parts = parts_victim != shard.partitions.end();
-    if (!have_list && !have_parts) return;  // everything pinned or kept
-    // Prefer the list victim unless the partition victim strictly precedes
-    // it (matching the old "<=" tie preference).
-    if (have_list &&
-        (!have_parts || !before(parts_victim->second.last_used,
-                                parts_victim->second.priority,
-                                list_victim->second.last_used,
-                                list_victim->second.priority))) {
-      if (cost_aware_) {
-        shard.inflation = std::max(shard.inflation,
-                                   list_victim->second.priority);
-      }
-      shard.bytes -= list_victim->second.bytes;
-      shard.map.erase(list_victim);
-    } else {
-      if (cost_aware_) {
-        shard.inflation = std::max(shard.inflation,
-                                   parts_victim->second.priority);
-      }
-      shard.bytes -= parts_victim->second.bytes;
-      shard.partitions.erase(parts_victim);
-    }
-    ++shard.evictions;
-  }
+size_t PostingListCache::KeyHash::operator()(const Key& key) const {
+  size_t h = PatternKeyHash{}(key.pattern);
+  h ^= (static_cast<size_t>(key.slot + 1) << 32) + key.num_partitions +
+       0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
 }
 
-std::shared_ptr<const PostingList> PostingListCache::FindLocked(
-    Shard& shard, const PatternKey& key) {
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return nullptr;
-  it->second.last_used = ++shard.clock;
-  if (cost_aware_) {
-    it->second.priority =
-        shard.inflation + RebuildCost(it->second.list->size());
-  }
-  return it->second.list;
+PostingListCache::Entry* PostingListCache::FindLocked(const Key& key) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return nullptr;
+  Entry& entry = it->second;
+  entry.last_used = ++clock_;
+  if (cost_aware_) entry.priority = inflation_ + RebuildCostOf(entry.lists);
+  return &entry;
 }
 
-std::shared_ptr<const PostingList> PostingListCache::GetLocked(
-    Shard& shard, const PatternKey& key, bool count_stats) {
-  if (auto resident = FindLocked(shard, key)) {
-    if (count_stats) ++shard.hits;
-    return resident;
+void PostingListCache::InsertLocked(const Key& key, uint64_t generation,
+                                    Lists* lists) {
+  // A call that missed the same key may have inserted it meanwhile; its
+  // entry wins, so every holder pins one object.
+  if (const Entry* resident = FindLocked(key)) {
+    *lists = resident->lists;
+    return;
   }
-  if (count_stats) ++shard.misses;
-  // Built under the shard lock: a concurrent request for the same key
-  // waits and then hits; requests for other shards are unaffected.
-  return InsertLocked(shard, key, std::make_shared<const PostingList>(
-                                      BuildPostingList(*store_, key)));
-}
-
-std::shared_ptr<const PostingList> PostingListCache::InsertLocked(
-    Shard& shard, const PatternKey& key,
-    std::shared_ptr<const PostingList> list) {
-  // Two reasons a fresh list must NOT enter the cache:
+  // Three reasons a fresh entry must NOT enter the cache:
+  //  - Clear() ran since the lookup missed: the store it read may have
+  //    lost a shard since, so the lists may describe a retired shard set;
   //  - the query driving this build was stopped (cancel / deadline /
   //    fault) on a sharded store: its Match returns early with a
-  //    truncated index set, so the list (or a base list it was derived
-  //    from) may be incomplete — caching it would poison later queries
+  //    truncated index set, so the lists (or the base list they were cut
+  //    from) may be incomplete — caching them would poison later queries
   //    long after the cancellation. Other stores never cut a read short,
   //    so their lists are complete and a retry finds them warm;
   //  - an injected "cache.alloc" fault simulates allocation pressure on
-  //    the insert path (the list is still served to this caller).
-  if (store_->ReadsCutShort() || FaultShouldFail("cache.alloc")) {
-    return list;
+  //    the insert path (the lists are still served to this caller).
+  if (generation != generation_ || store_->ReadsCutShort() ||
+      FaultShouldFail("cache.alloc")) {
+    return;
   }
   Entry entry;
-  entry.list = list;
-  entry.bytes = ApproxBytes(*list);
-  entry.last_used = ++shard.clock;
-  if (cost_aware_) entry.priority = shard.inflation + RebuildCost(list->size());
-  shard.bytes += entry.bytes;
-  shard.map.emplace(key, std::move(entry));
-  return list;
+  entry.lists = *lists;
+  entry.bytes = BytesOf(entry.lists);
+  entry.last_used = ++clock_;
+  if (cost_aware_) entry.priority = inflation_ + RebuildCostOf(entry.lists);
+  bytes_ += entry.bytes;
+  map_.emplace(key, std::move(entry));
+}
+
+std::shared_ptr<const PostingList> PostingListCache::Fetch(
+    const PatternKey& key, bool count) {
+  const Key plain{key};
+  uint64_t generation = 0;
+  {
+    MutexLock lock(mu_);
+    if (const Entry* resident = FindLocked(plain)) {
+      if (count) ++hits_;
+      return resident->lists.front();
+    }
+    if (count) ++misses_;
+    generation = generation_;
+  }
+  Lists lists{std::make_shared<const PostingList>(
+      BuildPostingList(*store_, key))};
+  MutexLock lock(mu_);
+  InsertLocked(plain, generation, &lists);
+  return lists.front();
+}
+
+void PostingListCache::EvictIfOver() {
+  if (budget_bytes_ == 0) return;
+  MutexLock lock(mu_);
+  // Decoded-block memos grow outside the lock while operators iterate, so
+  // the accounting is refreshed before any budget decision.
+  for (auto& [key, entry] : map_) {
+    const size_t now = BytesOf(entry.lists);
+    bytes_ = bytes_ - entry.bytes + now;
+    entry.bytes = now;
+  }
+  if (bytes_ <= budget_bytes_) return;
+
+  // Block-granular pass first: releasing a decoded-block memo frees real
+  // bytes without evicting the (cheap) header view, and is safe even for
+  // pinned lists — live iterators hold their current block via
+  // shared_ptr, later touches simply decode again. LRU order so hot lists
+  // keep their working set longest.
+  std::vector<Entry*> decoded;
+  for (auto& [key, entry] : map_) {
+    if (std::any_of(entry.lists.begin(), entry.lists.end(),
+                    [](const auto& list) {
+                      return list->blocked() &&
+                             list->blocks->decoded_bytes() > 0;
+                    })) {
+      decoded.push_back(&entry);
+    }
+  }
+  std::sort(decoded.begin(), decoded.end(),
+            [](const Entry* a, const Entry* b) {
+              return a->last_used < b->last_used;
+            });
+  for (Entry* entry : decoded) {
+    if (bytes_ <= budget_bytes_) return;
+    size_t released = 0;
+    for (const auto& list : entry->lists) {
+      if (list->blocked()) released += list->blocks->ReleaseDecodedBlocks();
+    }
+    if (released == 0) continue;
+    bytes_ -= std::min(bytes_, released);
+    entry->bytes -= std::min(entry->bytes, released);
+    ++evictions_;
+  }
+  if (bytes_ <= budget_bytes_) return;
+
+  // Whole entries next, never pinned ones (use_count > 1 means a live
+  // operator tree, a batch or the caller of this very call still reads
+  // it; evicting would not free the memory anyway). Victim order:
+  // cost-aware compares GreedyDual priorities (rebuild cost on top of the
+  // inflation floor), plain LRU compares last use, which no two entries
+  // share.
+  std::vector<Map::iterator> victims;
+  for (auto it = map_.begin(); it != map_.end(); ++it) {
+    const Lists& lists = it->second.lists;
+    if (std::none_of(lists.begin(), lists.end(), [](const auto& list) {
+          return list.use_count() > 1;
+        })) {
+      victims.push_back(it);
+    }
+  }
+  std::sort(victims.begin(), victims.end(), [this](auto a, auto b) {
+    if (cost_aware_ && a->second.priority != b->second.priority) {
+      return a->second.priority < b->second.priority;
+    }
+    return a->second.last_used < b->second.last_used;
+  });
+  for (const auto it : victims) {
+    if (bytes_ <= budget_bytes_) return;
+    if (cost_aware_) inflation_ = std::max(inflation_, it->second.priority);
+    bytes_ -= it->second.bytes;
+    map_.erase(it);
+    ++evictions_;
+  }
 }
 
 std::shared_ptr<const PostingList> PostingListCache::Get(
     const PatternKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  auto list = GetLocked(shard, key, /*count_stats=*/true);
-  EvictIfOver(shard, key);
-  return list;
-}
-
-std::shared_ptr<const PostingList> PostingListCache::GetUncounted(
-    const PatternKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  auto list = GetLocked(shard, key, /*count_stats=*/false);
-  EvictIfOver(shard, key);
+  auto list = Fetch(key, /*count=*/true);
+  EvictIfOver();
   return list;
 }
 
 std::shared_ptr<const PostingList> PostingListCache::Peek(
     const PatternKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  const auto it = shard.map.find(key);
-  return it == shard.map.end() ? nullptr : it->second.list;
+  MutexLock lock(mu_);
+  const auto it = map_.find(Key{key});
+  return it == map_.end() ? nullptr : it->second.lists.front();
 }
 
 void PostingListCache::Resolve(std::span<const PatternKey> keys, Pins* pins,
@@ -433,29 +404,32 @@ void PostingListCache::Resolve(std::span<const PatternKey> keys, Pins* pins,
   // sibling groups (by predicate) and everything else.
   std::map<TermId, std::vector<PatternKey>> siblings;
   std::vector<PatternKey> build;
-  for (const PatternKey& key : keys) {
-    const auto [pin, fresh] = pins->try_emplace(key);
-    if (!fresh) continue;  // repeated, or pinned by an earlier call
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    pin->second = FindLocked(shard, key);
-    if (pin->second != nullptr) {
-      ++shard.hits;
-      EvictIfOver(shard, key);  // as a Get hit does
-    } else if (!key.s_bound() && key.p_bound() && key.o_bound()) {
-      siblings[key.p].push_back(key);
-    } else {
-      build.push_back(key);
+  uint64_t generation = 0;
+  {
+    MutexLock lock(mu_);
+    generation = generation_;
+    for (const PatternKey& key : keys) {
+      const auto [pin, fresh] = pins->try_emplace(key);
+      if (!fresh) continue;  // repeated, or pinned by an earlier call
+      if (const Entry* resident = FindLocked(Key{key})) {
+        ++hits_;
+        pin->second = resident->lists.front();
+      } else if (!key.s_bound() && key.p_bound() && key.o_bound()) {
+        siblings[key.p].push_back(key);
+      } else {
+        build.push_back(key);
+      }
     }
   }
   for (const auto& [p, group] : siblings) {
     if (derive && DeriveIsCheaper(p, group)) {
-      DeriveSiblings(p, group, pins, counts);
+      DeriveSiblings(p, group, generation, pins, counts);
     } else {
-      for (const PatternKey& key : group) (*pins)[key] = Get(key);
+      for (const PatternKey& key : group) (*pins)[key] = Fetch(key, true);
     }
   }
-  for (const PatternKey& key : build) (*pins)[key] = Get(key);
+  for (const PatternKey& key : build) (*pins)[key] = Fetch(key, true);
+  EvictIfOver();
 }
 
 bool PostingListCache::DeriveIsCheaper(TermId p,
@@ -469,9 +443,8 @@ bool PostingListCache::DeriveIsCheaper(TermId p,
   const MappedBlockPostings* mapped = store_->mapped_block_postings();
   bool base_free = mapped != nullptr && mapped->Find(p) != nullptr;
   if (!base_free) {
-    Shard& shard = ShardFor(base_key);
-    MutexLock lock(shard.mu);
-    base_free = shard.map.contains(base_key);
+    MutexLock lock(mu_);
+    base_free = map_.contains(Key{base_key});
   }
   double build_cost = 0.0;
   double derive_cost = static_cast<double>(base_count);
@@ -486,25 +459,23 @@ bool PostingListCache::DeriveIsCheaper(TermId p,
 
 void PostingListCache::DeriveSiblings(TermId p,
                                       std::span<const PatternKey> siblings,
-                                      Pins* pins, ResolveCounts* counts) {
-  const auto base = Get(PatternKey{kInvalidTermId, p, kInvalidTermId});
+                                      uint64_t generation, Pins* pins,
+                                      ResolveCounts* counts) {
+  const auto base = Fetch(PatternKey{kInvalidTermId, p, kInvalidTermId},
+                          /*count=*/true);
   std::vector<TermId> objects;
   objects.reserve(siblings.size());
   for (const PatternKey& key : siblings) objects.push_back(key.o);
-  std::vector<PostingList> derived = DeriveObjectLists(*store_, *base, objects);
+  std::vector<Lists> derived;
+  derived.reserve(siblings.size());
+  for (PostingList& list : DeriveObjectLists(*store_, *base, objects)) {
+    derived.push_back(Lists{std::make_shared<const PostingList>(
+        std::move(list))});
+  }
+  MutexLock lock(mu_);
   for (size_t i = 0; i < siblings.size(); ++i) {
-    const PatternKey& key = siblings[i];
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    // A concurrent Get may have built the key since Resolve looked; the
-    // resident then wins, so every holder pins one object.
-    auto list = FindLocked(shard, key);
-    if (list == nullptr) {
-      list = InsertLocked(shard, key, std::make_shared<const PostingList>(
-                                          std::move(derived[i])));
-    }
-    EvictIfOver(shard, key);
-    (*pins)[key] = std::move(list);
+    InsertLocked(Key{siblings[i]}, generation, &derived[i]);
+    (*pins)[siblings[i]] = derived[i].front();
   }
   if (counts != nullptr) {
     counts->derived_lists += siblings.size();
@@ -515,99 +486,71 @@ void PostingListCache::DeriveSiblings(TermId p,
 std::vector<std::shared_ptr<const PostingList>>
 PostingListCache::GetPartitions(const PatternKey& key, int slot,
                                 uint32_t num_partitions) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  const PartitionKey part_key{key.s, key.p, key.o, slot, num_partitions};
-  auto it = shard.partitions.find(part_key);
-  if (it != shard.partitions.end()) {
-    ++shard.hits;
-    it->second.last_used = ++shard.clock;
-    if (cost_aware_) {
-      size_t total_entries = 0;
-      for (const auto& piece : it->second.pieces) {
-        total_entries += piece->size();
-      }
-      it->second.priority = shard.inflation + RebuildCost(total_entries);
+  const Key parts{key, slot, num_partitions};
+  uint64_t generation = 0;
+  Lists pieces;
+  {
+    MutexLock lock(mu_);
+    if (const Entry* resident = FindLocked(parts)) {
+      ++hits_;
+      pieces = resident->lists;
+    } else {
+      ++misses_;
+      generation = generation_;
     }
-    return it->second.pieces;
   }
-  ++shard.misses;
-  auto base = GetLocked(shard, key, /*count_stats=*/false);
-  PartitionEntry entry;
-  entry.pieces = PartitionPostingList(*store_, *base, slot, num_partitions);
-  size_t total_entries = 0;
-  for (const auto& piece : entry.pieces) {
-    entry.bytes += ApproxBytes(*piece);
-    total_entries += piece->size();
+  if (pieces.empty()) {  // a miss
+    const auto base = Fetch(key, /*count=*/false);
+    pieces = PartitionPostingList(*store_, *base, slot, num_partitions);
+    MutexLock lock(mu_);
+    InsertLocked(parts, generation, &pieces);
   }
-  entry.last_used = ++shard.clock;
-  if (cost_aware_) {
-    entry.priority = shard.inflation + RebuildCost(total_entries);
-  }
-  shard.bytes += entry.bytes;
-  auto pieces = entry.pieces;
-  shard.partitions.emplace(part_key, std::move(entry));
-  EvictIfOver(shard, key, &part_key);
+  EvictIfOver();
   return pieces;
 }
 
 void PostingListCache::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    shard.map.clear();
-    shard.partitions.clear();
-    shard.bytes = 0;
-    shard.clock = 0;
-    shard.inflation = 0.0;
-    shard.hits = 0;
-    shard.misses = 0;
-    shard.evictions = 0;
+  Map dropped;
+  {
+    MutexLock lock(mu_);
+    dropped.swap(map_);
+    clock_ = 0;
+    inflation_ = 0.0;
+    bytes_ = 0;
+    ++generation_;
+    hits_ = 0;
+    misses_ = 0;
+    evictions_ = 0;
   }
+  // `dropped` frees the unpinned lists here, outside the lock.
 }
 
 uint64_t PostingListCache::hits() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.hits;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return hits_;
 }
 
 uint64_t PostingListCache::misses() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.misses;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return misses_;
 }
 
 uint64_t PostingListCache::evictions() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.evictions;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return evictions_;
 }
 
 size_t PostingListCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return static_cast<size_t>(
+      std::count_if(map_.begin(), map_.end(), [](const auto& kv) {
+        return kv.first.num_partitions == 0;
+      }));
 }
 
 size_t PostingListCache::bytes() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.bytes;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return bytes_;
 }
 
 }  // namespace specqp

@@ -1,13 +1,10 @@
 #ifndef SPECQP_RDF_POSTING_LIST_H_
 #define SPECQP_RDF_POSTING_LIST_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -180,47 +177,57 @@ class BlockIterator {
 // Materialised posting lists keyed by PatternKey, built on first use. The
 // cache is the one place that builds lists and inserts them: Get builds
 // one key, Resolve pins a whole set of keys and derives object-bound
-// siblings from a shared pass over their predicate's base list.
+// siblings from a shared pass over their predicate's base list, and
+// GetPartitions memoises a list's hash-partition pieces.
 //
 // This models the paper's setup of a database engine that returns matches
 // "in sorted order" with warm caches (section 4.4: 5 runs, average of the
 // last 3): the first access pays the sort, later accesses are pointer
 // lookups.
 //
-// Thread-safe: the cache is sharded by key hash, with one mutex per shard,
-// so concurrent executions (and the parallel partition builder) can share
-// one cache. A build for a missing key holds only its shard's lock.
+// Thread-safe: one mutex guards one map, which holds plain lists and
+// partition piece sets alike, and the byte count, LRU clock and counters
+// beside it. No lock is held while a list is built, derived or
+// partitioned: a call looks its key up under the lock, does the work with
+// the lock released, and inserts under it again, first-wins — when
+// another call inserted the key meanwhile, that entry is what the caller
+// gets, so every holder pins one object. Two calls that miss the same key
+// at once both build it. An insert is refused, and the list still served,
+// when the read behind it may have been cut short
+// (TripleStore::ReadsCutShort), when an injected "cache.alloc" fault
+// fires, or when Clear() ran since the lookup missed (the list may
+// describe a retired shard set).
 //
-// Eviction: when `budget_bytes` is non-zero, each shard keeps its resident
-// lists within budget_bytes / kNumShards (approximate byte accounting via
-// ApproxBytes), evicting least-recently-used lists first. Lists still
-// referenced outside the cache ("pinned" by a live operator tree) are never
-// evicted, and neither is the most recently requested list — so a single
-// oversized or in-use list can push a shard past its slice of the budget,
-// but the steady state under churn stays bounded.
+// Eviction: when `budget_bytes` is non-zero, the whole cache keeps within
+// it (approximate byte accounting via ApproxBytes). Each call of Get,
+// Resolve and GetPartitions ends with one pass over the whole cache.
+// Lists and piece sets still referenced outside the cache ("pinned" by a
+// live operator tree, a batch, or the caller the call returns them to)
+// are never evicted, so pinned entries can hold the cache over budget
+// until their pins drop; the next call on any key then trims it.
 //
 // Block-compressed lists are accounted at block granularity: a blocked
 // list's footprint grows as iterators decode blocks into its
-// PostingBlockSource memo, and an over-budget shard first RELEASES decoded
+// PostingBlockSource memo, and an over-budget pass first RELEASES decoded
 // blocks (cheapest-to-restore bytes, LRU entry order) before falling back
-// to whole-entry eviction. Releasing is safe even for pinned or
-// just-requested lists — live iterators hold their current block through
-// a shared_ptr, and a released block simply decodes again on next touch —
-// so cold queries keep only the blocks their bound actually required.
+// to whole-entry eviction. Releasing is safe even for pinned lists — live
+// iterators hold their current block through a shared_ptr, and a released
+// block simply decodes again on next touch — so cold queries keep only
+// the blocks their bound actually required.
 //
 // Cost-aware eviction (`cost_aware` = true, EngineOptions::cache_cost_aware):
-// victim selection weighs how expensive a list is to rebuild, not just how
-// recently it was used. Each entry carries a GreedyDual-style priority
+// victim selection weighs how expensive an entry is to rebuild, not just
+// how recently it was used. Each entry carries a GreedyDual-style priority
 //
-//   priority = shard inflation at last use + rebuild_cost(list)
+//   priority = inflation at last use + rebuild_cost(entry)
 //
 // where rebuild_cost is the comparison-sort estimate n·(log2(n+1)+1) over
-// the list's entry count n — the same per-pattern match count m the
-// StatisticsCatalog snapshots. The victim is the minimum-priority unpinned
-// entry, and the shard's inflation rises to the victim's priority, so
-// cheap lists age out quickly while an expensive-to-rebuild list can
-// outlive many cheaper, more recently used ones until the inflation
-// catches up. With cost_aware = false the policy is plain LRU.
+// the n posting entries the entry holds — for a plain list, the same
+// per-pattern match count m the StatisticsCatalog snapshots. Victims go in ascending priority, and the
+// inflation rises to each victim's priority, so cheap lists age out
+// quickly while an expensive-to-rebuild list can outlive many cheaper,
+// more recently used ones until the inflation catches up. With cost_aware
+// = false the policy is plain LRU.
 class PostingListCache {
  public:
   // `budget_bytes` == 0 means unbounded (no eviction).
@@ -237,12 +244,6 @@ class PostingListCache {
   // returned pin is what keeps the list resident — discarding it silently
   // re-triggers a build on the next Get, hence [[nodiscard]].
   [[nodiscard]] std::shared_ptr<const PostingList> Get(const PatternKey& key);
-
-  // Like Get() but without touching the hit/miss counters — for internal
-  // probes (e.g. the executor's parallel-eligibility sizing pass) that
-  // should not skew the telemetry exported to bench artifacts.
-  [[nodiscard]] std::shared_ptr<const PostingList> GetUncounted(
-      const PatternKey& key);
 
   // The key's list if resident, nullptr otherwise — never builds and never
   // touches the counters or the LRU clock. A residency probe for tests.
@@ -276,21 +277,23 @@ class PostingListCache {
   // The key's posting list split into `num_partitions` hash partitions on
   // triple slot `slot` (see rdf/posting_partition.h), memoised so repeated
   // parallel executions of the same query do not re-partition on every
-  // Execute(). Piece sets share the key's shard (lock, LRU clock, byte
-  // budget) with the plain lists.
+  // Execute(). A piece set is an entry of the same map as the plain lists,
+  // under the same lock, clock and byte budget; a lookup counts one hit or
+  // miss (the base list it is cut from is fetched uncounted).
   [[nodiscard]] std::vector<std::shared_ptr<const PostingList>> GetPartitions(
       const PatternKey& key, int slot, uint32_t num_partitions);
 
   // Drops every resident list AND resets the hit/miss/eviction counters,
   // so hit rates measured across Clear() boundaries (e.g. a benchmark's
-  // cold phase after a warm phase) start from zero.
+  // cold phase after a warm phase) start from zero. A list whose lookup
+  // missed before the Clear() is served to its caller but not inserted.
   void Clear();
 
   uint64_t hits() const;
   uint64_t misses() const;
   uint64_t evictions() const;
-  size_t size() const;   // resident lists
-  size_t bytes() const;  // approximate resident bytes
+  size_t size() const;   // resident lists (piece sets not counted)
+  size_t bytes() const;  // approximate resident bytes, piece sets included
   size_t budget_bytes() const { return budget_bytes_; }
 
   // Approximate heap footprint of one list (entries + header).
@@ -301,82 +304,73 @@ class PostingListCache {
   // tests.
   static double RebuildCost(size_t num_entries);
 
-  static constexpr size_t kNumShards = 8;
-
-  bool cost_aware() const { return cost_aware_; }
-
  private:
+  using Lists = std::vector<std::shared_ptr<const PostingList>>;
+
+  // A plain list has no partition slot and a partition count of 0; a
+  // piece set carries both.
+  struct Key {
+    PatternKey pattern;
+    int slot = -1;
+    uint32_t num_partitions = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
   struct Entry {
-    std::shared_ptr<const PostingList> list;
+    Lists lists;  // the one plain list, or the pieces
     size_t bytes = 0;
-    uint64_t last_used = 0;   // shard LRU clock
-    double priority = 0.0;    // GreedyDual priority (cost-aware policy)
+    uint64_t last_used = 0;  // LRU clock
+    double priority = 0.0;   // GreedyDual priority (cost-aware policy)
   };
+  using Map = std::unordered_map<Key, Entry, KeyHash>;
 
-  // (key, slot, num_partitions) -> memoised partition pieces.
-  using PartitionKey = std::tuple<TermId, TermId, TermId, int, uint32_t>;
-  struct PartitionEntry {
-    std::vector<std::shared_ptr<const PostingList>> pieces;
-    size_t bytes = 0;
-    uint64_t last_used = 0;
-    double priority = 0.0;
-  };
-
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<PatternKey, Entry, PatternKeyHash> map
-        SPECQP_GUARDED_BY(mu);
-    std::map<PartitionKey, PartitionEntry> partitions SPECQP_GUARDED_BY(mu);
-    uint64_t clock SPECQP_GUARDED_BY(mu) = 0;
-    size_t bytes SPECQP_GUARDED_BY(mu) = 0;  // lists + partition pieces
-    double inflation SPECQP_GUARDED_BY(mu) = 0.0;  // cost-aware floor
-    uint64_t hits SPECQP_GUARDED_BY(mu) = 0;
-    uint64_t misses SPECQP_GUARDED_BY(mu) = 0;
-    uint64_t evictions SPECQP_GUARDED_BY(mu) = 0;
-  };
-
-  Shard& ShardFor(const PatternKey& key);
-  // The key's resident list (refreshing its LRU position), or null.
+  // Summed over an entry's lists.
+  static size_t BytesOf(const Lists& lists);
+  static double RebuildCostOf(const Lists& lists);
+  // The key's entry (refreshing its LRU position and priority), or null.
   // Counts nothing.
-  std::shared_ptr<const PostingList> FindLocked(Shard& shard,
-                                                const PatternKey& key)
-      SPECQP_REQUIRES(shard.mu);
-  // The key's list, building and inserting on miss.
-  // `count_stats` is false for internal lookups (e.g. the base list behind
-  // a partition request) so one logical Get counts one hit or miss.
-  std::shared_ptr<const PostingList> GetLocked(Shard& shard,
-                                               const PatternKey& key,
-                                               bool count_stats)
-      SPECQP_REQUIRES(shard.mu);
-  // The one insert step for built and derived lists: makes `list` the
-  // key's resident, unless the request that produced it was stopped or an
-  // injected "cache.alloc" fault fires. Returns `list` either way — the
-  // caller is served it, resident or not. The caller evicts afterwards.
-  std::shared_ptr<const PostingList> InsertLocked(
-      Shard& shard, const PatternKey& key,
-      std::shared_ptr<const PostingList> list) SPECQP_REQUIRES(shard.mu);
+  Entry* FindLocked(const Key& key) SPECQP_REQUIRES(mu_);
+  // The one insert step for built, derived and partitioned lists, taken
+  // with the generation read when the lookup missed. First-wins: when the
+  // key is resident, `*lists` becomes the resident's lists. Otherwise
+  // `*lists` becomes the key's entry unless the insert is refused (see the
+  // class comment); the caller is served `*lists` either way.
+  void InsertLocked(const Key& key, uint64_t generation, Lists* lists)
+      SPECQP_REQUIRES(mu_);
+  // The key's plain list, built with the lock released on a miss.
+  // `count` is false for the base list behind a piece set, so one
+  // GetPartitions counts one hit or miss. Evicts nothing.
+  std::shared_ptr<const PostingList> Fetch(const PatternKey& key, bool count);
   // True when one pass over p's base list plus the derivations undercuts
   // building each of `siblings` — distinct (?s <p> <o>) keys — on its own.
   bool DeriveIsCheaper(TermId p, std::span<const PatternKey> siblings);
   // Derives `siblings` from one pass over p's base list, inserts each
-  // derived list and pins it in `pins`.
+  // derived list and pins it in `pins`. `generation` is the one Resolve
+  // read when the siblings missed.
   void DeriveSiblings(TermId p, std::span<const PatternKey> siblings,
-                      Pins* pins, ResolveCounts* counts);
-  // Brings the shard's byte accounting for blocked lists up to date
-  // (decoded-block memos grow outside the lock while operators iterate).
-  void SyncBlockBytes(Shard& shard) SPECQP_REQUIRES(shard.mu);
-  // Evicts until the shard fits its budget slice: first releases decoded
-  // blocks from blocked lists (LRU order, pinned and `keep` included —
-  // release never invalidates readers), then evicts LRU unpinned
-  // lists/piece sets (never `keep` or `keep_parts`).
-  void EvictIfOver(Shard& shard, const PatternKey& keep,
-                   const PartitionKey* keep_parts = nullptr)
-      SPECQP_REQUIRES(shard.mu);
+                      uint64_t generation, Pins* pins,
+                      ResolveCounts* counts);
+  // Brings the cache within budget: refreshes every entry's bytes
+  // (decoded-block memos grow outside the lock while operators iterate),
+  // releases decoded blocks LRU-first, then evicts unpinned entries in
+  // victim order.
+  void EvictIfOver();
 
   const TripleStore* store_;
-  size_t budget_bytes_;
-  bool cost_aware_;
-  std::array<Shard, kNumShards> shards_;
+  const size_t budget_bytes_;
+  const bool cost_aware_;
+
+  mutable Mutex mu_;
+  Map map_ SPECQP_GUARDED_BY(mu_);
+  uint64_t clock_ SPECQP_GUARDED_BY(mu_) = 0;
+  double inflation_ SPECQP_GUARDED_BY(mu_) = 0.0;  // cost-aware floor
+  size_t bytes_ SPECQP_GUARDED_BY(mu_) = 0;
+  uint64_t generation_ SPECQP_GUARDED_BY(mu_) = 0;  // Clear() count
+  uint64_t hits_ SPECQP_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ SPECQP_GUARDED_BY(mu_) = 0;
+  uint64_t evictions_ SPECQP_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace specqp

@@ -101,10 +101,12 @@ double SelectivityEstimator::JoinCardinality(const TriplePattern& a,
            static_cast<double>(store_->CountMatches(b.Key()));
   }
   const std::string memo_key = MemoKey(a, b, shared);
+  uint64_t generation = 0;
   {
     MutexLock lock(mu_);
     const auto it = pair_memo_.find(memo_key);
     if (it != pair_memo_.end()) return it->second;
+    generation = generation_;
   }
 
   const double count = (mode_ == Mode::kIndependence)
@@ -113,12 +115,20 @@ double SelectivityEstimator::JoinCardinality(const TriplePattern& a,
   // A stopped sharded store answers lookups empty; never memoise that.
   if (store_->ReadsCutShort()) return count;
   MutexLock lock(mu_);
+  if (generation != generation_) return count;  // straddled a Clear()
   return pair_memo_.emplace(memo_key, count).first->second;
 }
 
 size_t SelectivityEstimator::memo_size() const {
   MutexLock lock(mu_);
   return pair_memo_.size() + query_memo_.size();
+}
+
+void SelectivityEstimator::Clear() {
+  MutexLock lock(mu_);
+  pair_memo_.clear();
+  query_memo_.clear();
+  ++generation_;
 }
 
 double SelectivityEstimator::Selectivity(const TriplePattern& a,
@@ -220,10 +230,12 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
     }
     memo_key += "|";
   }
+  uint64_t generation = 0;
   {
     MutexLock lock(mu_);
     const auto memo_it = query_memo_.find(memo_key);
     if (memo_it != query_memo_.end()) return memo_it->second;
+    generation = generation_;
   }
 
   // Evaluation order: cheapest pattern first, then repeatedly the cheapest
@@ -332,6 +344,7 @@ uint64_t SelectivityEstimator::ExactQueryCardinality(const Query& query) {
   // lookups empty: neither is memoised.
   if (stopped || store_->ReadsCutShort()) return count;
   MutexLock lock(mu_);
+  if (generation != generation_) return count;  // straddled a Clear()
   return query_memo_.emplace(std::move(memo_key), count).first->second;
 }
 

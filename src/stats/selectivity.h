@@ -20,8 +20,9 @@ namespace specqp {
 //
 // Thread-safe: every planning call on an engine shares the memos. Counts
 // are computed outside the lock and inserted first-wins (they are
-// deterministic). A count cut short by the thread's stop probe is returned
-// but never memoised.
+// deterministic). A count cut short by the thread's stop probe, or
+// computed across a Clear(), is returned but never memoised: it may
+// describe a truncated read or a retired shard set.
 class SelectivityEstimator {
  public:
   enum class Mode {
@@ -66,6 +67,8 @@ class SelectivityEstimator {
   uint64_t ExactQueryCardinality(const Query& query);
 
   size_t memo_size() const;
+  // Drops both memos (the engine calls this when its store loses a shard).
+  void Clear();
 
  private:
   double ExactPairCount(const TriplePattern& a, const TriplePattern& b);
@@ -79,6 +82,7 @@ class SelectivityEstimator {
   std::unordered_map<std::string, double> pair_memo_ SPECQP_GUARDED_BY(mu_);
   std::unordered_map<std::string, uint64_t> query_memo_
       SPECQP_GUARDED_BY(mu_);
+  uint64_t generation_ SPECQP_GUARDED_BY(mu_) = 0;  // Clear() count
 };
 
 }  // namespace specqp

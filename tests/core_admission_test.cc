@@ -504,7 +504,7 @@ TEST(AdmissionTest, IdleEngineDispatchesLoneRequestAtOnce) {
 // the store, not from the posting cache: the batch has dropped its pins by
 // then, so on a budgeted cache a list may have been evicted, and asking
 // the cache would rebuild it uncounted (and evict more with its insert).
-// Two patterns in one cache shard on a 1-byte budget force that eviction.
+// Two patterns on a 1-byte budget force that eviction.
 // The windowed request must insert no more lists than the same query run
 // as a batch directly. An armed "cache.alloc" site with probability 0
 // never fires but counts every insert.
@@ -525,26 +525,9 @@ TEST(AdmissionTest, WindowStepBuildsNoListAfterItsBatch) {
   store.Finalize();
   RelaxationIndex rules;  // empty: the query touches its own two lists
 
-  // Two predicates whose (?s p x) keys share a cache shard.
-  const auto shard_of = [&](TermId p) {
-    return PatternKeyHash{}(PatternKey{kInvalidTermId, p, x}) %
-           PostingListCache::kNumShards;
-  };
-  TermId first = kInvalidTermId;
-  TermId second = kInvalidTermId;
-  for (size_t a = 0; a < predicates.size() && second == kInvalidTermId; ++a) {
-    for (size_t b = a + 1; b < predicates.size(); ++b) {
-      if (shard_of(predicates[a]) == shard_of(predicates[b])) {
-        first = predicates[a];
-        second = predicates[b];
-        break;
-      }
-    }
-  }
-  ASSERT_NE(second, kInvalidTermId);
   Query query;
   const VarId s = query.GetOrAddVariable("s");
-  for (const TermId p : {first, second}) {
+  for (const TermId p : {predicates[0], predicates[1]}) {
     query.AddPattern(TriplePattern(PatternTerm::Var(s), PatternTerm::Const(p),
                                    PatternTerm::Const(x)));
   }

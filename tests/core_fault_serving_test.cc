@@ -1,12 +1,14 @@
 // Engine-level fault-tolerant serving: strict vs degraded answers over a
-// bundle with quarantined shards, mid-query fault invalidation (kIoError,
-// then partial answers), block-decode and store-open fault surfacing on
-// single-file backends — on both admission paths — an engine fault plan
+// bundle with quarantined shards, planning state cleared by a runtime
+// quarantine, mid-query fault invalidation (kIoError, then partial
+// answers), block-decode and store-open fault surfacing on single-file
+// backends — on both admission paths — an engine fault plan
 // that arms once per plan, admission-side overload shedding (queue depth,
 // also under concurrent submitters, and hopeless deadlines),
 // SubmitWithRetry semantics, and cancellation responsiveness during
 // sharded scatter-gather execution.
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -196,6 +198,74 @@ TEST_F(FaultServingTest, DegradedServingAnswersFromTheSurvivors) {
             << "query " << q << " row " << i;
         EXPECT_EQ(got.rows[i].score, expected.rows[i].score)
             << "query " << q << " row " << i;
+      }
+    }
+  }
+}
+
+// Every planning memo built before a runtime quarantine counts the shard
+// set that no longer serves. The preflight clears the posting cache, the
+// statistics catalog and the selectivity memos, so each answer after the
+// quarantine — rows, plan and PLANGEN diagnostics — equals an engine's
+// over the survivors' triples.
+TEST_F(FaultServingTest, RuntimeQuarantinePlansOnTheSurvivors) {
+  Fixture fx = MakeFixture("fsv_runtime_quarantine");
+  std::vector<Query> queries;
+  Rng rng(23);
+  for (size_t i = 0; i < 40; ++i) {
+    queries.push_back(
+        specqp::testing::MakeRandomStarQuery(&rng, fx.store, 2 + i % 2));
+  }
+  const TripleStore survivors = SurvivorStore(fx.store, 1);
+  EngineOptions base;
+  base.num_threads = 1;
+  Engine baseline(&survivors, &fx.rules, base);
+
+  for (const QueryRequest::Admission admission : kAdmissionModes) {
+    SCOPED_TRACE(AdmissionName(admission));
+    EngineOptions options = ServingOptions(admission);
+    options.degraded_reads = true;
+    auto opened = Engine::OpenFromPath(fx.bundle_dir, &fx.rules, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Engine& engine = *opened.value().engine;
+    for (const Query& query : queries) {
+      ASSERT_TRUE(SubmitVia(engine, query, admission).ok());
+    }
+
+    opened.value().sharded->Quarantine(1, "runtime quarantine under test");
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      const QueryResponse expected = SubmitImmediate(baseline, queries[q]);
+      const QueryResponse got = SubmitVia(engine, queries[q], admission);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      EXPECT_TRUE(got.partial);
+      EXPECT_EQ(got.rows.size(), expected.rows.size());
+      for (size_t i = 0; i < std::min(got.rows.size(), expected.rows.size());
+           ++i) {
+        EXPECT_EQ(got.rows[i].bindings, expected.rows[i].bindings);
+        EXPECT_EQ(got.rows[i].score, expected.rows[i].score);
+      }
+      EXPECT_EQ(got.plan.ToString(), expected.plan.ToString());
+      const PlanDiagnostics& e = expected.diagnostics;
+      const PlanDiagnostics& a = got.diagnostics;
+      EXPECT_EQ(a.cardinality_estimate, e.cardinality_estimate);
+      EXPECT_EQ(a.eq_k, e.eq_k);
+      EXPECT_EQ(a.plan_confidence, e.plan_confidence);
+      EXPECT_EQ(a.least_confident_pattern, e.least_confident_pattern);
+      EXPECT_EQ(a.has_runner_up, e.has_runner_up);
+      EXPECT_EQ(a.runner_up.ToString(), e.runner_up.ToString());
+      EXPECT_EQ(a.decisions.size(), e.decisions.size());
+      for (size_t i = 0; i < std::min(a.decisions.size(), e.decisions.size());
+           ++i) {
+        EXPECT_EQ(a.decisions[i].pattern_index, e.decisions[i].pattern_index);
+        EXPECT_EQ(a.decisions[i].has_relaxations,
+                  e.decisions[i].has_relaxations);
+        EXPECT_EQ(a.decisions[i].eq_prime_top, e.decisions[i].eq_prime_top);
+        EXPECT_EQ(a.decisions[i].relax, e.decisions[i].relax);
+        EXPECT_EQ(a.decisions[i].confidence, e.decisions[i].confidence);
+        EXPECT_EQ(a.decisions[i].bucket_disagreement,
+                  e.decisions[i].bucket_disagreement);
       }
     }
   }

@@ -135,12 +135,12 @@ TEST(BlockIteratorTest, CacheReleasesDecodedBlocksUnderOneBlockBudget) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const TripleStore& view = mapped.value()->store();
 
-  // Budget one decoded block (plus fixed overheads) per shard: a fully
-  // decoded multi-block list must overflow it and get its memo released.
+  // Budget one decoded block (plus fixed overheads): a fully decoded
+  // multi-block list must overflow it and get its memo released.
   const size_t one_block =
       sizeof(PostingList) + sizeof(PostingBlockSource) +
       kPostingBlockEntries * sizeof(PostingEntry) + 1024;
-  PostingListCache cache(&view, one_block * PostingListCache::kNumShards);
+  PostingListCache cache(&view, one_block);
 
   const PatternKey key{kInvalidTermId, view.MustId("p0"), kInvalidTermId};
   std::shared_ptr<const PostingList> list = cache.Get(key);

@@ -1,14 +1,28 @@
-// Tests for the PostingListCache eviction policy (budgeted sharded LRU)
-// and the counter-reset semantics of Clear().
+// Tests for the PostingListCache eviction policy (one budgeted LRU over
+// lists and piece sets), the counter-reset semantics of Clear(), builds
+// outside the lock, and a concurrent stress mix.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rdf/mmap_store.h"
 #include "rdf/posting_list.h"
+#include "rdf/posting_partition.h"
+#include "rdf/store_io.h"
 #include "rdf/triple_store.h"
+#include "test_util.h"
+#include "util/random.h"
 
 namespace specqp {
 namespace {
@@ -74,6 +88,19 @@ TEST(PostingCacheEvictionTest, BudgetRespectedUnderChurn) {
   EXPECT_LT(cache.size(), 256u);
 }
 
+// Lists pinned while the cache is trimmed hold it over budget; once the
+// pins drop, the next call on any key trims the whole cache back.
+TEST(PostingCacheEvictionTest, BudgetHoldsOnceThePinsDrop) {
+  TripleStore store = MakeWideStore(256, 4);
+  PostingListCache cache(&store, /*budget_bytes=*/8 * 1024);
+  std::vector<std::shared_ptr<const PostingList>> pins;
+  for (size_t o = 0; o < 255; ++o) pins.push_back(cache.Get(KeyFor(store, o)));
+  ASSERT_GT(cache.bytes(), cache.budget_bytes());
+  pins.clear();
+  (void)cache.Get(KeyFor(store, 255));
+  EXPECT_LE(cache.bytes(), cache.budget_bytes());
+}
+
 TEST(PostingCacheEvictionTest, UnboundedByDefault) {
   TripleStore store = MakeWideStore(64);
   PostingListCache cache(&store);
@@ -113,9 +140,8 @@ TEST(PostingCacheEvictionTest, EvictedListStaysUsableThroughSharedPtr) {
 TEST(PostingCacheEvictionTest, LruOrderEvictsColdestFirst) {
   TripleStore store = MakeWideStore(32);
   PostingListCache cache(&store, 1);
-  // Two keys in (usually) different shards; regardless of sharding, after
-  // churning every other key, re-getting an old key must be a miss if it
-  // was evicted — and the counters must reflect exactly one outcome.
+  // After churning every other key, re-getting an old key must be a miss
+  // if it was evicted — and the counters must reflect exactly one outcome.
   (void)cache.Get(KeyFor(store, 0));
   for (size_t o = 1; o < 32; ++o) (void)cache.Get(KeyFor(store, o));
   const uint64_t gets_before = cache.hits() + cache.misses();
@@ -184,25 +210,6 @@ TEST(PostingCachePeekTest, PeekNeverBuilds) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-// Builds a store where object 0 has one big (expensive-to-rebuild) posting
-// list and every other object one tiny list, and returns `count` tiny-list
-// keys that land in the same cache shard as the big key (so the per-shard
-// budget arbitrates between them deterministically).
-std::vector<PatternKey> SameShardSmallKeys(const TripleStore& store,
-                                           const PatternKey& big,
-                                           size_t count) {
-  const size_t shard =
-      PatternKeyHash{}(big) % PostingListCache::kNumShards;
-  std::vector<PatternKey> keys;
-  for (size_t o = 1; keys.size() < count; ++o) {
-    const PatternKey key = KeyFor(store, o);
-    if (PatternKeyHash{}(key) % PostingListCache::kNumShards == shard) {
-      keys.push_back(key);
-    }
-  }
-  return keys;
-}
-
 TEST(PostingCacheCostAwareTest, ExpensiveListOutlivesCheaperMoreRecent) {
   // Object 0: 512 triples (expensive to rebuild); objects 1..: 1 triple.
   TripleStore store;
@@ -214,16 +221,15 @@ TEST(PostingCacheCostAwareTest, ExpensiveListOutlivesCheaperMoreRecent) {
   }
   store.Finalize();
   const PatternKey big = KeyFor(store, 0);
-  const std::vector<PatternKey> small = SameShardSmallKeys(store, big, 2);
+  const PatternKey small[] = {KeyFor(store, 1), KeyFor(store, 2)};
 
-  // Budget the big key's shard to hold the big list plus one small list,
-  // but not both smalls on top.
+  // Budget the cache to hold the big list plus one small list, but not
+  // both smalls on top.
   const size_t big_bytes =
       PostingListCache::ApproxBytes(BuildPostingList(store, big));
   const size_t small_bytes =
       PostingListCache::ApproxBytes(BuildPostingList(store, small[0]));
-  const size_t budget =
-      PostingListCache::kNumShards * (big_bytes + small_bytes + 8);
+  const size_t budget = big_bytes + small_bytes + 8;
 
   // Plain LRU: the big list is the coldest entry, so it is the victim —
   // despite costing ~500x more to rebuild than the small list it makes
@@ -279,6 +285,214 @@ TEST(PostingCacheEvictionTest, CountersMonotoneUnderChurn) {
       prev_evictions = e;
     }
   }
+}
+
+// Serves an in-memory store as a sharded source whose Match for one key
+// blocks until released: a build of that key then stalls inside the cache.
+class BlockingSource : public ShardedTripleSource {
+ public:
+  BlockingSource(const TripleStore* inner, const PatternKey& slow)
+      : inner_(inner), slow_(slow) {}
+
+  size_t NumTriples() const override { return inner_->size(); }
+  const Triple& TripleAt(uint32_t global_index) const override {
+    return inner_->triple(global_index);
+  }
+  // Only the first read of the slow key blocks.
+  std::span<const uint32_t> Match(const PatternKey& key) const override {
+    if (key == slow_ && !blocked_once_.exchange(true)) {
+      entered_.count_down();
+      release_.wait();
+    }
+    return inner_->MatchIndices(key);
+  }
+
+  void WaitUntilBlocked() const { entered_.wait(); }
+  void Release() const { release_.count_down(); }
+
+ private:
+  const TripleStore* inner_;
+  const PatternKey slow_;
+  mutable std::atomic<bool> blocked_once_{false};
+  mutable std::latch entered_{1};
+  mutable std::latch release_{1};
+};
+
+void ExpectSameEntries(const PostingList& expected, const PostingList& actual,
+                       const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  EXPECT_EQ(actual.max_raw_score, expected.max_raw_score) << label;
+  BlockIterator e(&expected);
+  BlockIterator a(&actual);
+  for (; !e.AtEnd(); e.Advance(), a.Advance()) {
+    ASSERT_EQ(a.Entry().triple_index, e.Entry().triple_index) << label;
+    ASSERT_EQ(a.Entry().score, e.Entry().score) << label;  // bitwise
+  }
+}
+
+// A build runs with the cache's lock released: while one key's build is
+// stalled, other keys build and hit, Peek answers and the counters read.
+// A Clear() during that build does not wait for it, and the list the
+// build produces is served to its caller but not inserted.
+TEST(PostingCacheConcurrencyTest, SlowBuildHoldsNoOtherKeyAndClearDropsIt) {
+  const TripleStore inner = MakeWideStore(16, 4);
+  const PatternKey slow = KeyFor(inner, 0);
+  const BlockingSource source(&inner, slow);
+  Dictionary dict;
+  for (TermId id = 0; id < inner.dict().size(); ++id) {
+    dict.Intern(inner.dict().Name(id));
+  }
+  const TripleStore store =
+      TripleStore::FromShardedSource(std::move(dict), &source);
+  PostingListCache cache(&store);
+  const auto bounded = std::chrono::seconds(10);
+
+  auto stalled = std::async(std::launch::async, [&] { return cache.Get(slow); });
+  source.WaitUntilBlocked();
+
+  auto others = std::async(std::launch::async, [&] {
+    for (size_t o = 1; o < 16; ++o) {
+      const PatternKey key = KeyFor(store, o);
+      const auto built = cache.Get(key);
+      EXPECT_EQ(cache.Peek(key).get(), built.get());
+      EXPECT_EQ(cache.Get(key).get(), built.get());
+    }
+    EXPECT_EQ(cache.Peek(slow), nullptr);
+    return cache.hits();
+  });
+  const bool others_done = others.wait_for(bounded) == std::future_status::ready;
+  EXPECT_TRUE(others_done) << "other keys waited for a stalled build";
+
+  auto cleared = std::async(std::launch::async, [&] { cache.Clear(); });
+  const bool clear_done =
+      cleared.wait_for(bounded) == std::future_status::ready;
+  EXPECT_TRUE(clear_done) << "Clear() waited for a stalled build";
+
+  source.Release();
+  const std::shared_ptr<const PostingList> list = stalled.get();
+  cleared.get();
+  EXPECT_EQ(others.get(), 15u);
+  ASSERT_NE(list, nullptr);
+  ExpectSameEntries(BuildPostingList(store, slow), *list, "stalled build");
+
+  // The build straddled the Clear(): served, never inserted.
+  EXPECT_EQ(cache.Peek(slow), nullptr);
+  const uint64_t misses = cache.misses();
+  const auto again = cache.Get(slow);
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_NE(again.get(), list.get());
+}
+
+// Eight threads mix every entry point over one budgeted cache on a mapped
+// store (block views, re-encoded scans, derived flat lists, piece sets):
+// every list served is the list BuildPostingList builds, and once the
+// threads are gone one more call trims the cache within budget.
+TEST(PostingCacheConcurrencyTest, MixedCallsServeBuiltListsWithinBudget) {
+  Rng rng(91);
+  specqp::testing::RandomStoreConfig cfg;
+  cfg.num_subjects = 200;
+  cfg.num_predicates = 4;
+  cfg.num_objects = 12;
+  cfg.num_triples = 3000;
+  const TripleStore memory = specqp::testing::MakeRandomStore(&rng, cfg);
+  const std::string path = ::testing::TempDir() + "/posting_cache_mix.sqp";
+  ASSERT_TRUE(SaveStore(memory, path).ok());
+  auto mapped = MmapStore::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const TripleStore& store = mapped.value()->store();
+
+  // Every predicate's base key and its object-bound siblings.
+  std::map<TermId, std::vector<PatternKey>> siblings;
+  std::vector<PatternKey> keys;
+  for (uint32_t i = 0; i < store.size(); ++i) {
+    const Triple& t = store.triple(i);
+    const PatternKey key{kInvalidTermId, t.p, t.o};
+    std::vector<PatternKey>& group = siblings[t.p];
+    if (std::find(group.begin(), group.end(), key) == group.end()) {
+      group.push_back(key);
+      keys.push_back(key);
+    }
+  }
+  for (const auto& [p, group] : siblings) {
+    keys.push_back(PatternKey{kInvalidTermId, p, kInvalidTermId});
+  }
+  std::map<std::tuple<TermId, TermId, TermId>, PostingList> reference;
+  for (const PatternKey& key : keys) {
+    reference.emplace(std::make_tuple(key.s, key.p, key.o),
+                      BuildPostingList(store, key));
+  }
+  const auto expect_built = [&](const PatternKey& key,
+                                const PostingList& list) {
+    ExpectSameEntries(reference.at(std::make_tuple(key.s, key.p, key.o)),
+                      list, "served list");
+  };
+
+  PostingListCache cache(&store, /*budget_bytes=*/16 * 1024);
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 300;
+  std::atomic<uint64_t> derived{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng ops(1000 + static_cast<uint64_t>(t));
+      start.arrive_and_wait();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const PatternKey& key = keys[ops.NextBounded(keys.size())];
+        switch (ops.NextBounded(10)) {
+          case 0:
+          case 1:
+          case 2: {
+            const auto list = cache.Get(key);
+            expect_built(key, *list);
+            break;
+          }
+          case 3:
+          case 4: {
+            const uint32_t n = 2 + static_cast<uint32_t>(ops.NextBounded(3));
+            const auto pieces = cache.GetPartitions(key, /*slot=*/0, n);
+            const auto want = PartitionPostingList(
+                store, reference.at(std::make_tuple(key.s, key.p, key.o)), 0,
+                n);
+            ASSERT_EQ(pieces.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+              ExpectSameEntries(*want[i], *pieces[i], "piece");
+            }
+            break;
+          }
+          case 5:
+          case 6:
+          case 7: {
+            // One predicate's siblings (derivable) plus a random key.
+            auto group = siblings.begin();
+            std::advance(group, ops.NextBounded(siblings.size()));
+            std::vector<PatternKey> batch = group->second;
+            batch.push_back(key);
+            PostingListCache::Pins pins;
+            PostingListCache::ResolveCounts counts;
+            cache.Resolve(batch, &pins, &counts);
+            derived += counts.derived_lists;
+            for (const PatternKey& pinned : batch) {
+              expect_built(pinned, *pins.at(pinned));
+            }
+            break;
+          }
+          case 8: {
+            if (const auto list = cache.Peek(key)) expect_built(key, *list);
+            break;
+          }
+          default:
+            if (ops.NextBounded(8) == 0) cache.Clear();
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(derived.load(), 0u) << "no Resolve derived its siblings";
+
+  (void)cache.Get(keys.front());
+  EXPECT_LE(cache.bytes(), cache.budget_bytes());
 }
 
 }  // namespace
