@@ -34,9 +34,24 @@ wins, losses and ties of HEAD, and two verdicts, with the direction
     every base run; ``within`` otherwise. Metrics without a declared
     bound (the per-layer ones) read ``unbounded``.
 
+Two values tie when they differ by at most TIE_RTOL of the larger
+magnitude, so a metric that only moves in its last digits (a ratio summed
+in a different order) reads as ties, not wins or losses; a gain also
+needs its median edge to clear that tolerance.
+
+Noise stamps: scripts/memory_latency_probe.cc is compiled once into the
+workdir and run before and after every benchmark run; each run stores
+``stamp_ns: [before, after]``, the probe's nanoseconds per dependent load
+over 8 MiB. A pair whose four stamps spread by more than STAMP_RATIO
+(max/min) is flagged: the host's memory latency moved during it. Flagged
+pairs are listed in the verdict and the final log line, but every pair
+still counts toward every verdict; nothing is rerun or dropped. When the
+probe does not compile, runs go unstamped and the JSON says why.
+
 The file is rewritten after every pair, so an interrupted run keeps the
-pairs it finished. ``--self-test`` checks the statistics and the run
-order on synthetic samples and exits non-zero on any mismatch.
+pairs it finished. ``--self-test`` checks the statistics, the stamp flags
+and the run order on synthetic samples and exits non-zero on any
+mismatch.
 """
 
 import argparse
@@ -50,6 +65,10 @@ import sys
 import tempfile
 
 WIN_SHARE = 0.9
+# Relative difference at or below which two values tie.
+TIE_RTOL = 1e-12
+# A pair is flagged when max/min of its four noise stamps exceeds this.
+STAMP_RATIO = 1.5
 
 
 def log(message):
@@ -76,6 +95,11 @@ def describe(samples):
             "iqr": q3 - q1}
 
 
+def same(a, b):
+    """True when `a` and `b` differ only within TIE_RTOL."""
+    return abs(a - b) <= TIE_RTOL * max(abs(a), abs(b))
+
+
 def summarize_metric(pairs, better, bound):
     """Summary of one metric over `pairs`, a list of (base, head) values
     (None for a failed run or a missing metric)."""
@@ -87,12 +111,12 @@ def summarize_metric(pairs, better, bound):
             wins += base is None and head is not None
             continue
         edge = sign * (head - base)
-        if edge > 0:
-            wins += 1
-        elif edge < 0:
-            losses += 1
-        else:
+        if same(base, head):
             ties += 1
+        elif edge > 0:
+            wins += 1
+        else:
+            losses += 1
     base_side = describe([b for b, _ in pairs if b is not None])
     head_side = describe([h for _, h in pairs if h is not None])
     summary = {"better": better, "bound": bound, "base": base_side,
@@ -106,7 +130,8 @@ def summarize_metric(pairs, better, bound):
     head_median = head_side["median"]
     edge = sign * (head_median - base_median)
     summary["gain"] = (wins >= WIN_SHARE * len(pairs) and
-                       edge > base_side["iqr"])
+                       edge > base_side["iqr"] and
+                       not same(base_median, head_median))
     scale = abs(base_median)
     if scale > 0:
         summary["median_change"] = (head_median - base_median) / scale
@@ -159,8 +184,23 @@ def summarize(runs, declared):
                        if m["bound_verdict"] == "unresolved"],
         "failed_runs": sum(1 for pair in runs for side in ("base", "head")
                            if pair[side] is None or not pair[side]["ok"]),
+        "flagged_pairs": flagged_pairs(runs),
     }
     return metrics, verdict
+
+
+def flagged_pairs(runs):
+    """Indices of the pairs whose noise stamps spread by more than
+    STAMP_RATIO; a pair missing any stamp is not judged."""
+    flagged = []
+    for i, pair in enumerate(runs):
+        stamps = []
+        for side in ("base", "head"):
+            stamps.extend((pair[side] or {}).get("stamp_ns") or [None, None])
+        if all(isinstance(v, (int, float)) and v > 0 for v in stamps) and \
+                max(stamps) / min(stamps) > STAMP_RATIO:
+            flagged.append(i)
+    return flagged
 
 
 def run_order(pair_index):
@@ -213,6 +253,35 @@ def build(path, side):
         raise RuntimeError("benchmark build failed in " + path)
 
 
+def compile_probe(workdir):
+    """Compiles the noise-stamp probe into `workdir`: (binary, None), or
+    (None, why not)."""
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "memory_latency_probe.cc")
+    binary = os.path.join(workdir, "memory_latency_probe")
+    try:
+        done = subprocess.run(["c++", "-O2", "-o", binary, source],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True)
+    except OSError as e:
+        return None, str(e)
+    if done.returncode != 0:
+        return None, done.stderr.strip()[-500:] or "c++ failed"
+    return binary, None
+
+
+def stamp(probe):
+    """One noise stamp in ns per load, or None."""
+    if probe is None:
+        return None
+    done = subprocess.run([probe], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    try:
+        return float(done.stdout.split()[0]) if done.returncode == 0 else None
+    except (IndexError, ValueError):
+        return None
+
+
 def run_once(path, args, seed, log_path):
     command = [sys.executable, "e2ebench/run.py", "--workload", args.workload,
                "--seed", str(seed), "--seconds", repr(args.seconds),
@@ -234,11 +303,14 @@ def run_once(path, args, seed, log_path):
                         for name, entry in result["metrics"].items()}}
 
 
-def write_result(args, shas, runs, declared):
+def write_result(args, shas, runs, declared, probe_error):
     metrics, verdict = summarize(runs, declared)
     doc = {"workload": args.workload, "base": shas["base"],
            "head": shas["head"], "seconds": args.seconds,
            "trace": args.trace, "pairs_run": len(runs),
+           "stamps": {"probe": "scripts/memory_latency_probe.cc",
+                      "ratio_limit": STAMP_RATIO,
+                      "unstamped_because": probe_error},
            "seeds": [args.seed + i for i in range(len(runs))],
            "first": [run_order(i)[0] for i in range(len(runs))],
            "runs": runs, "metrics": metrics, "verdict": verdict}
@@ -260,6 +332,9 @@ def run(args):
         checkout(repo, shas[side], paths[side])
     with open(os.path.join(paths["head"], "BENCHMARK.json")) as f:
         declared = declared_metrics(json.load(f))
+    probe, probe_error = compile_probe(workdir)
+    if probe is None:
+        log("noise probe did not compile, runs go unstamped: " + probe_error)
     try:
         for side in ("base", "head"):
             log("building %s (%s)" % (side, shas[side][:12]))
@@ -270,23 +345,26 @@ def run(args):
             pair = {}
             for side in run_order(i):
                 log("pair %d/%d seed %d: %s" % (i + 1, args.pairs, seed, side))
+                before = stamp(probe)
                 pair[side] = run_once(paths[side], args, seed,
                                       os.path.join(workdir, side + ".log"))
+                pair[side]["stamp_ns"] = [before, stamp(probe)]
                 if not pair[side]["ok"]:
                     log("%s run failed (exit %d); see %s.log" %
                         (side, pair[side]["exit"], side))
             runs.append(pair)
-            write_result(args, shas, runs, declared)
-        verdict = write_result(args, shas, runs, declared)
+            write_result(args, shas, runs, declared, probe_error)
+        verdict = write_result(args, shas, runs, declared, probe_error)
     finally:
         if not args.keep_worktrees:
             for side in ("base", "head"):
                 git(repo, "worktree", "remove", "--force", paths[side])
             if args.workdir is None:
                 shutil.rmtree(workdir, ignore_errors=True)
-    log("gains: %s; worse: %s; unresolved: %s; failed runs: %d" %
+    log("gains: %s; worse: %s; unresolved: %s; failed runs: %d; "
+        "pairs flagged by the noise stamp: %s" %
         (verdict["gains"], verdict["worse"], verdict["unresolved"],
-         verdict["failed_runs"]))
+         verdict["failed_runs"], verdict["flagged_pairs"]))
     return 0
 
 
@@ -365,6 +443,44 @@ def self_test():
     metrics, _ = summarize(pairs_of(noisy_base, apart), declared)
     expect(metrics["p50_ms"]["bound_verdict"] == "within",
            "every HEAD run better than every base run resolves a wide spread")
+
+    # Floating-point noise ties: samples that differ only in their last
+    # digits (a ratio summed in another order) are neither wins nor a gain.
+    base_p = [{"precision_at_k": 0.8287356321839076 + d}
+              for d in (0, 1e-16, 2e-16, 0, 1e-16, 0, 2e-16, 1e-16, 0, 0)]
+    head_p = [{"precision_at_k": 0.8287356321839080 + d}
+              for d in (2e-16, 1e-16, 0, 2e-16, 0, 1e-16, 0, 2e-16, 1e-16,
+                        2e-16)]
+    declared_p = {"precision_at_k": ("higher", 0.01)}
+    metrics, verdict = summarize(pairs_of(base_p, head_p), declared_p)
+    expect(metrics["precision_at_k"]["ties"] == 10,
+           "last-digit differences tie")
+    expect(not metrics["precision_at_k"]["gain"],
+           "last-digit differences are no gain")
+    expect(metrics["precision_at_k"]["bound_verdict"] == "within",
+           "last-digit differences stay within the bound")
+    expect(same(1.0, 1.0 + 1e-13) and not same(1.0, 1.0 + 1e-11),
+           "the tie tolerance is relative, 1e-12")
+
+    # Noise stamps flag exactly the pairs whose memory latency drifted,
+    # and change no verdict.
+    runs = pairs_of(base, head)
+    unstamped_metrics, unstamped_verdict = summarize(runs, declared)
+    drifted = {2, 7}
+    for i, pair in enumerate(runs):
+        pair["base"]["stamp_ns"] = [80.0, 84.0]
+        pair["head"]["stamp_ns"] = [82.0, 150.0 if i in drifted else 90.0]
+    runs[5]["head"]["stamp_ns"] = [None, 300.0]  # an unstamped run
+    metrics, verdict = summarize(runs, declared)
+    expect(verdict["flagged_pairs"] == sorted(drifted),
+           "the stamps flag exactly the drifted pairs")
+    expect(metrics == unstamped_metrics and
+           {n: v for n, v in verdict.items() if n != "flagged_pairs"} ==
+           {n: v for n, v in unstamped_verdict.items()
+            if n != "flagged_pairs"},
+           "stamps change no verdict")
+    expect(unstamped_verdict["flagged_pairs"] == [],
+           "unstamped runs flag nothing")
 
     # The run order flips every pair and the seeds differ.
     orders = [run_order(i) for i in range(10)]

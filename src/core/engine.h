@@ -68,9 +68,12 @@ struct EngineOptions {
   // posting lists outlive cheaper, more recently used ones. Only matters
   // with a non-zero cache budget. See PostingListCache.
   bool cache_cost_aware = false;
-  // Minimum total posting entries across a query's patterns before the
-  // executor builds a partitioned parallel tree.
-  size_t parallel_min_rows = 1024;
+  // Minimum total entries of the posting lists a query's tree scans (its
+  // patterns' lists plus, for each relaxed pattern, every relaxation's and
+  // chain hop's) before the executor builds a partitioned parallel tree.
+  // The default sits at the measured crossover (docs/ARCHITECTURE.md,
+  // "Parallel rank joins").
+  size_t parallel_min_rows = 1600;
   // Streaming admission (Engine::Submit): an open batch window closes once
   // it holds admission_max_batch requests; max_batch <= 1 turns
   // cross-request batching off (every Submit dispatches alone). Otherwise
@@ -94,6 +97,8 @@ struct EngineOptions {
   // factor times its estimated cardinality, the (serial) execution stops,
   // re-orders the plan by actual posting sizes, and restarts on the warm
   // caches — at most once per execution. Values <= 1 disable adaptivity.
+  // Only serial trees are watched: a query that runs partitioned (see
+  // parallel_min_rows) is never re-planned.
   double replan_divergence_factor = 0.0;
   // Cadence of the divergence checkpoints, in interrupt polls (roughly a
   // small multiple of rows pulled).

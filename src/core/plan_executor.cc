@@ -144,23 +144,17 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
       << "plan does not cover the query";
 
   // Parallel tree? Needs a pool, a join to split (>= 2 patterns), a
-  // variable shared by every pattern to partition on, and enough posting
-  // rows to be worth it. Single-pattern queries stay serial so the root
-  // keeps the posting lists' triple-index tie order.
+  // variable shared by every pattern to partition on, and enough entries
+  // in the lists the tree scans to be worth it. Single-pattern queries
+  // stay serial so the root keeps the posting lists' triple-index tie
+  // order.
   uint32_t num_partitions = 0;
   VarId partition_var = kInvalidVarId;
   if (ctx->parallel() && query.num_patterns() >= 2) {
     partition_var = CommonJoinVariable(query);
-    if (partition_var != kInvalidVarId) {
-      size_t total_rows = 0;
-      for (const TriplePattern& q : query.patterns()) {
-        // A list holds exactly its key's matches, so the store sizes it
-        // without building it.
-        total_rows += store_->CountMatches(q.Key());
-      }
-      if (total_rows >= options_.parallel_min_rows) {
-        num_partitions = static_cast<uint32_t>(ctx->num_threads());
-      }
+    if (partition_var != kInvalidVarId &&
+        ScansAtLeast(query, plan, options_.parallel_min_rows)) {
+      num_partitions = static_cast<uint32_t>(ctx->num_threads());
     }
   }
   if (num_partitions < 2) return BuildTree(query, plan, ctx, nullptr, leaves);
@@ -180,6 +174,36 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
   }
   ctx->stats()->parallel_partitions += num_partitions;
   return std::make_unique<ParallelRankJoin>(std::move(roots), ctx);
+}
+
+bool PlanExecutor::ScansAtLeast(const Query& query, const QueryPlan& plan,
+                                size_t min_rows) const {
+  if (min_rows == 0) return true;
+  // A resident list is sized as it is; a list is built from its key's
+  // matches exactly, so the store's index sizes one that is not resident.
+  size_t rows = 0;
+  const auto reached = [&](const PatternKey& key) {
+    const auto list = postings_->Peek(key);
+    rows += list != nullptr ? list->size() : store_->CountMatches(key);
+    return rows >= min_rows;
+  };
+  for (size_t i : plan.join_group) {
+    if (reached(query.pattern(i).Key())) return true;
+  }
+  for (size_t i : plan.singletons) {
+    const PatternKey key = query.pattern(i).Key();
+    if (reached(key)) return true;
+    for (const RelaxationRule& rule : rules_->RulesFor(key)) {
+      if (reached(rule.to)) return true;
+    }
+    for (const ChainRelaxationRule& rule : rules_->ChainRulesFor(key)) {
+      if (reached({kInvalidTermId, rule.hop1_predicate, kInvalidTermId}) ||
+          reached({kInvalidTermId, rule.hop2_predicate, rule.hop2_object})) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<ScoredRowIterator> PlanExecutor::BuildTree(

@@ -29,9 +29,10 @@ namespace specqp {
 //
 // Parallel trees: when the execution context carries a thread pool, the
 // query has at least two patterns, every pattern binds one common variable
-// v (the star centre in the paper's workloads), and the query's posting
-// lists clear a size threshold, the executor builds one complete serial
-// tree per hash partition of v's bindings (posting lists partitioned via
+// v (the star centre in the paper's workloads), and the posting lists the
+// tree will scan, relaxation and chain-hop lists included, clear a size
+// threshold, the executor builds one complete serial tree per hash
+// partition of v's bindings (posting lists partitioned via
 // rdf/posting_partition.h; lists of patterns not binding v are shared
 // unpartitioned across trees) and merges them with a ParallelRankJoin.
 // Because v is a join variable of every fold-level join, rows from
@@ -53,11 +54,13 @@ namespace specqp {
 class PlanExecutor {
  public:
   struct Options {
-    // Minimum total posting entries across the query's original patterns
-    // before a parallel tree is built (tiny queries are not worth the
-    // partitioning pass). Zero = always parallelise when possible. Default
-    // matches EngineOptions::parallel_min_rows.
-    size_t parallel_min_rows = 1024;
+    // Minimum total entries of the posting lists the tree scans before a
+    // parallel tree is built (tiny queries are not worth the partitioning
+    // pass): every join-group pattern's list and, for each singleton, its
+    // own list, every relaxation's and both hops of every chain rule's.
+    // Zero = always parallelise when possible. Default matches
+    // EngineOptions::parallel_min_rows.
+    size_t parallel_min_rows = 1600;
   };
 
   PlanExecutor(const TripleStore* store, PostingListCache* postings,
@@ -101,6 +104,14 @@ class PlanExecutor {
 
  private:
   struct PartitionView;
+
+  // True when the posting lists `plan`'s tree scans hold at least
+  // `min_rows` entries in all. Sizes each list from the cache when it is
+  // resident (PostingListCache::Peek: no build, no counter moves), from
+  // the store's index otherwise, in BuildTree's order, and stops once
+  // `min_rows` is reached.
+  bool ScansAtLeast(const Query& query, const QueryPlan& plan,
+                    size_t min_rows) const;
 
   std::unique_ptr<ScoredRowIterator> BuildTree(const Query& query,
                                                const QueryPlan& plan,

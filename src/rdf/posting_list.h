@@ -246,7 +246,8 @@ class PostingListCache {
   [[nodiscard]] std::shared_ptr<const PostingList> Get(const PatternKey& key);
 
   // The key's list if resident, nullptr otherwise — never builds and never
-  // touches the counters or the LRU clock. A residency probe for tests.
+  // touches the counters or the LRU clock. PlanExecutor sizes its
+  // serial-or-partitioned choice through it; tests probe residency.
   [[nodiscard]] std::shared_ptr<const PostingList> Peek(const PatternKey& key);
 
   // Lists held by a caller (a batch) so they stay resident while it runs.

@@ -1,16 +1,22 @@
 // End-to-end determinism of parallel execution: for every strategy and
 // every thread count, Engine::Execute must return bit-identical rows
 // (bindings AND scores) to the serial engine — the acceptance bar for the
-// partitioned rank-join refactor.
+// partitioned rank-join refactor. Also the size rule that chooses between
+// a serial and a partitioned tree.
 
+#include <atomic>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/plan_executor.h"
 #include "test_util.h"
+#include "topk/top_k.h"
+#include "util/thread_pool.h"
 
 namespace specqp {
 namespace {
@@ -194,6 +200,193 @@ TEST(ParallelExecutionTest, SizeThresholdKeepsSmallQueriesSerial) {
                                      Strategy::kTrinit);
   EXPECT_EQ(result.stats.parallel_partitions, 0u);
   EXPECT_FALSE(result.rows.empty());
+}
+
+// A 2-pattern star on ?s whose original patterns match 10 triples each,
+// while each pattern's simple relaxation scans a list of 750 entries and
+// its chain rule two hop lists of 375. TriniT's tree scans 3,020 entries
+// and a NoRelax tree 20; the originals plus either kind of rule alone stay
+// at 1,520, under the default threshold.
+struct RelaxationHeavyStar {
+  TripleStore store;
+  RelaxationIndex rules;
+  Query query;
+};
+
+RelaxationHeavyStar MakeRelaxationHeavyStar() {
+  RelaxationHeavyStar fx;
+  TripleStore& store = fx.store;
+  const auto name = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  const auto score = [](size_t i, size_t salt) {
+    return 1.0 + static_cast<double>((i * 37 + salt * 11) % 97);
+  };
+  for (size_t i = 0; i < 10; ++i) {
+    store.Add(name("p", i), "type", "singer", score(i, 1));
+    store.Add(name("p", i + 5), "plays", "guitar", score(i, 2));
+  }
+  for (size_t i = 0; i < 750; ++i) {
+    store.Add(name("p", i), "type", "vocalist", score(i, 3));
+    store.Add(name("p", i + 100), "plays", "bass", score(i, 4));
+  }
+  for (size_t i = 0; i < 375; ++i) {
+    store.Add(name("p", i + 50), "likes", name("album", i), score(i, 5));
+    store.Add(name("album", i), "genre", "pop", score(i, 6));
+    store.Add(name("p", i + 150), "owns", name("instrument", i), score(i, 7));
+    store.Add(name("instrument", i), "kind", "strings", score(i, 8));
+  }
+  store.Finalize();
+
+  const PatternKey singer{kInvalidTermId, store.MustId("type"),
+                          store.MustId("singer")};
+  const PatternKey guitar{kInvalidTermId, store.MustId("plays"),
+                          store.MustId("guitar")};
+  SPECQP_CHECK(fx.rules
+                   .AddRule(RelaxationRule{
+                       singer,
+                       {kInvalidTermId, store.MustId("type"),
+                        store.MustId("vocalist")},
+                       0.8})
+                   .ok());
+  SPECQP_CHECK(fx.rules
+                   .AddRule(RelaxationRule{
+                       guitar,
+                       {kInvalidTermId, store.MustId("plays"),
+                        store.MustId("bass")},
+                       0.7})
+                   .ok());
+  ChainRelaxationRule chain;
+  chain.from = singer;
+  chain.hop1_predicate = store.MustId("likes");
+  chain.hop2_predicate = store.MustId("genre");
+  chain.hop2_object = store.MustId("pop");
+  chain.weight = 0.6;
+  SPECQP_CHECK(fx.rules.AddChainRule(chain).ok());
+  chain.from = guitar;
+  chain.hop1_predicate = store.MustId("owns");
+  chain.hop2_predicate = store.MustId("kind");
+  chain.hop2_object = store.MustId("strings");
+  chain.weight = 0.5;
+  SPECQP_CHECK(fx.rules.AddChainRule(chain).ok());
+
+  const VarId s = fx.query.GetOrAddVariable("s");
+  for (const PatternKey& key : {singer, guitar}) {
+    fx.query.AddPattern(TriplePattern(PatternTerm::Var(s),
+                                      PatternTerm::Const(key.p),
+                                      PatternTerm::Const(key.o)));
+  }
+  fx.query.AddProjection(s);
+  return fx;
+}
+
+// The size rule counts every list the tree scans: TriniT's relaxation and
+// chain-hop lists together clear the default threshold although the
+// original patterns alone do not, while a NoRelax tree scans the originals
+// only.
+TEST(ParallelExecutionTest, RelaxationListsCountTowardTheThreshold) {
+  const RelaxationHeavyStar fx = MakeRelaxationHeavyStar();
+  EngineOptions serial_options;
+  serial_options.num_threads = 1;
+  EngineOptions parallel_options;
+  parallel_options.num_threads = 2;  // default parallel_min_rows
+  for (size_t k : {1u, 5u, 20u}) {
+    for (Strategy strategy : kStrategies) {
+      const std::string label = std::string(StrategyName(strategy)) +
+                                "/k=" + std::to_string(k);
+      Engine serial(&fx.store, &fx.rules, serial_options);
+      const auto expected = testing::Execute(serial, fx.query, k, strategy);
+      Engine parallel(&fx.store, &fx.rules, parallel_options);
+      const auto actual = testing::Execute(parallel, fx.query, k, strategy);
+      ASSERT_FALSE(expected.rows.empty()) << label;
+      ExpectIdenticalRows(expected, actual, label);
+      if (strategy == Strategy::kTrinit) {
+        EXPECT_EQ(actual.stats.parallel_partitions, 2u) << label;
+      } else if (strategy == Strategy::kNoRelax) {
+        EXPECT_EQ(actual.stats.parallel_partitions, 0u) << label;
+      }
+    }
+  }
+}
+
+// A sharded-source facade over an owned store that counts index reads.
+class CountingSource : public ShardedTripleSource {
+ public:
+  explicit CountingSource(const TripleStore* inner) : inner_(inner) {}
+
+  size_t NumTriples() const override { return inner_->size(); }
+  const Triple& TripleAt(uint32_t global_index) const override {
+    return inner_->triple(global_index);
+  }
+  std::span<const uint32_t> Match(const PatternKey& key) const override {
+    matches_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->MatchIndices(key);
+  }
+
+  uint64_t matches() const { return matches_.load(); }
+
+ private:
+  const TripleStore* inner_;
+  mutable std::atomic<uint64_t> matches_{0};
+};
+
+// A warm Build sizes its decision from the resident posting lists: once a
+// partitioned execution has run cold, building and draining it again reads
+// the store's index not once, and the sizing moves no cache counter.
+TEST(ParallelExecutionTest, WarmBuildSizesFromListsNotTheStoreIndex) {
+  const RelaxationHeavyStar fx = MakeRelaxationHeavyStar();
+  const CountingSource source(&fx.store);
+  Dictionary dict;
+  for (TermId id = 0; id < fx.store.dict().size(); ++id) {
+    dict.Intern(fx.store.dict().Name(id));
+  }
+  const TripleStore store =
+      TripleStore::FromShardedSource(std::move(dict), &source);
+  PostingListCache postings(&store);
+  PlanExecutor executor(&store, &postings, &fx.rules);  // sizes the tree
+  PlanExecutor unsized(&store, &postings, &fx.rules,
+                       PlanExecutor::Options{/*parallel_min_rows=*/0});
+  ThreadPool pool(1);  // two threads: the caller and one worker
+  const QueryPlan plan = QueryPlan::TrinitPlan(fx.query.num_patterns());
+
+  const auto build_and_drain = [&](PlanExecutor& plan_executor) {
+    ExecStats stats;
+    ExecContext ctx(&stats, &pool);
+    auto root = plan_executor.Build(fx.query, plan, &ctx);
+    auto rows = PullTopK(root.get(), 20, &stats);
+    EXPECT_EQ(stats.parallel_partitions, 2u);
+    return rows;
+  };
+  const auto counters = [&] {
+    return std::vector<uint64_t>{postings.hits(), postings.misses(),
+                                 postings.evictions()};
+  };
+  const auto delta = [](const std::vector<uint64_t>& before,
+                        const std::vector<uint64_t>& after) {
+    std::vector<uint64_t> d(before.size());
+    for (size_t i = 0; i < d.size(); ++i) d[i] = after[i] - before[i];
+    return d;
+  };
+
+  const auto cold = build_and_drain(executor);
+  ASSERT_GT(source.matches(), 0u) << "the cold build reads the index";
+  const uint64_t matches_after_cold = source.matches();
+  const auto before_warm = counters();
+  const auto warm = build_and_drain(executor);
+  const auto sized_delta = delta(before_warm, counters());
+  EXPECT_EQ(source.matches(), matches_after_cold)
+      << "the warm Build probed the store's index";
+  ASSERT_EQ(warm.size(), cold.size());
+  for (size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(warm[i].bindings, cold[i].bindings) << "rank " << i;
+    EXPECT_EQ(warm[i].score, cold[i].score) << "rank " << i;
+  }
+
+  // The same partitioned tree built without the sizing walk (threshold 0)
+  // moves the cache's counters exactly as much.
+  const auto before_unsized = counters();
+  (void)build_and_drain(unsized);
+  EXPECT_EQ(delta(before_unsized, counters()), sized_delta);
 }
 
 TEST(ResolveNumThreadsTest, ExplicitRequestWinsAndIsClamped) {
